@@ -2,9 +2,10 @@
 
 Three obligations:
 
-1. **Bit identity** — the six legacy Figure 5 configurations must
-   produce exactly the metrics and crash-site hashes captured in
-   ``tests/data/legacy_matrix_fixture.json`` before the refactor.
+1. **Bit identity** — every controller path (the eight matrix designs,
+   the non-secure ideal and strict persistency) must produce exactly
+   the metrics and crash-site hashes captured in
+   ``tests/data/legacy_matrix_fixture.json``.
 2. **New designs** — the Triad-NVM and SuperMem write-through
    controllers must survive the differential oracle and the fault
    campaign with zero silent outcomes.
@@ -17,6 +18,7 @@ Three obligations:
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import inspect
 import json
 from pathlib import Path
@@ -51,6 +53,15 @@ FIXTURE = json.loads(
     (Path(__file__).parent / "data" / "legacy_matrix_fixture.json").read_text()
 )
 
+# The fixture tool owns the label -> config resolution, so the test and
+# the regeneration script can never pin different configurations.
+_TOOL_SPEC = importlib.util.spec_from_file_location(
+    "make_legacy_fixture",
+    Path(__file__).parent.parent / "tools" / "make_legacy_fixture.py",
+)
+_TOOL = importlib.util.module_from_spec(_TOOL_SPEC)
+_TOOL_SPEC.loader.exec_module(_TOOL)
+
 
 def _digest(material: str) -> str:
     return hashlib.sha256(material.encode()).hexdigest()[:24]
@@ -63,11 +74,11 @@ class TestLegacyBitIdentity:
     @pytest.mark.parametrize("label", sorted(FIXTURE["configs"]))
     def test_metrics_and_crash_sites_match_fixture(self, label, monkeypatch):
         """Timing metrics, stats digests and crash-site state hashes are
-        bit-identical to the monolithic pre-refactor controllers."""
+        bit-identical to the captured fixture."""
         monkeypatch.setenv("REPRO_TRACE_CACHE", "off")
         monkeypatch.setenv("REPRO_UNIT_MEMO", "off")
         expect = FIXTURE["configs"][label]
-        config = controller_matrix()[label]
+        config = _TOOL.fixture_configs()[label]
         res = run_workload(
             config, FIXTURE["workload"],
             transactions=FIXTURE["transactions"], seed=FIXTURE["seed"],
@@ -87,8 +98,9 @@ class TestLegacyBitIdentity:
         assert enum.final_cycle == expect["final_cycle"]
         assert _digest(site_material) == expect["site_digest"]
 
-    def test_fixture_covers_exactly_the_legacy_labels(self):
-        assert sorted(FIXTURE["configs"]) == sorted(LEGACY_MATRIX)
+    def test_fixture_covers_every_pinned_path(self):
+        assert sorted(FIXTURE["configs"]) == sorted(_TOOL.fixture_configs())
+        assert set(CONTROLLER_MATRIX) < set(FIXTURE["configs"])
 
 
 # ----------------------------------------------------------------------

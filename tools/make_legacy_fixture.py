@@ -1,11 +1,14 @@
 """Regenerate ``tests/data/legacy_matrix_fixture.json``.
 
-The fixture pins the six legacy Figure 5 configurations bit-for-bit:
-timing metrics and a stats digest from :func:`run_workload`, plus the
-crash-site enumeration (count, final cycle, state-hash digest) from the
-differential oracle.  Rebuild it whenever trace generation legitimately
-changes (``GENERATOR_VERSION`` bump) — never to paper over an
-unexplained diff.
+The fixture pins every controller path bit-for-bit: the eight
+``CONTROLLER_MATRIX`` designs plus two paths the matrix lacks, the
+non-secure ideal reference (reads without Ma-SU verification) and
+``dolos-full`` under strict persistency (every clwb waits).  Each entry
+holds timing metrics and a stats digest from :func:`run_workload`, plus
+the crash-site enumeration (count, final cycle, state-hash digest) from
+the differential oracle.  Rebuild it whenever trace generation
+legitimately changes (``GENERATOR_VERSION`` bump) — never to paper over
+an unexplained diff.
 
 Usage::
 
@@ -14,6 +17,7 @@ Usage::
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -29,20 +33,33 @@ def _digest(material: str) -> str:
     return hashlib.sha256(material.encode()).hexdigest()[:24]
 
 
+def fixture_configs():
+    """Label -> config for every pinned path (shared with the test)."""
+    from repro.config import ControllerKind, SimConfig
+    from repro.matrix import controller_matrix
+
+    configs = controller_matrix()
+    configs["nonsecure-ideal"] = SimConfig().with_(
+        controller=ControllerKind.NON_SECURE_IDEAL
+    )
+    full = configs["dolos-full"]
+    configs["dolos-full-strict"] = full.with_(
+        core=dataclasses.replace(full.core, persist_model="strict")
+    )
+    return configs
+
+
 def main() -> int:
     # The fixture captures raw simulation output, not cache behaviour.
     os.environ["REPRO_TRACE_CACHE"] = "off"
     os.environ["REPRO_UNIT_MEMO"] = "off"
 
     from repro.harness.runner import run_workload
-    from repro.matrix import LEGACY_MATRIX, controller_matrix
     from repro.oracle.check import enumerate_sites
     from repro.oracle.ops import generate_ops
 
-    matrix = controller_matrix()
     configs = {}
-    for label in sorted(LEGACY_MATRIX):
-        config = matrix[label]
+    for label, config in sorted(fixture_configs().items()):
         res = run_workload(
             config, WORKLOAD, transactions=TRANSACTIONS, seed=SEED
         )
