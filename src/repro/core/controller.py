@@ -38,7 +38,8 @@ The core-facing protocol:
 
 from __future__ import annotations
 
-from typing import Dict, Generator, Optional
+from functools import partial
+from typing import Dict, Optional
 
 from repro.config import ControllerKind, SimConfig
 from repro.core.composition import (
@@ -53,7 +54,7 @@ from repro.core.misu import MinorSecurityUnit, make_misu
 from repro.core.registers import PersistentRegisters
 from repro.core.requests import ReadRequest, WriteKind, WriteRequest
 from repro.crypto.keys import KeyStore
-from repro.engine import Process, Signal, Simulator
+from repro.engine import Signal, Simulator
 from repro.stats import StatsRegistry
 from repro.wpq.adr import ADRDrain
 from repro.wpq.queue import WritePendingQueue
@@ -88,11 +89,11 @@ class MemoryController:
             self._wpq_capacity(), line_bytes=config.llc.line_bytes
         )
         self._seq = 0
-        #: Fired every time a WPQ slot frees (drain loop wake-up).
+        #: Fired every time a WPQ slot frees (allocation retry wake-up).
         self.slot_freed = Signal(sim, "wpq.slot_freed")
-        #: Fired every time an entry lands in the WPQ.
+        #: Fired every time an entry lands in the WPQ (drain wake-up).
         self.entry_added = Signal(sim, "wpq.entry_added")
-        self._drain_process: Optional[Process] = None
+        self._started = False
         self.writes_received = 0
         self.reads_received = 0
         #: Optional instrumentation (see :meth:`attach_timeline`).
@@ -115,13 +116,6 @@ class MemoryController:
         self._write = WRITE_STRATEGIES[spec.protection](self)
         self._drain = DRAIN_STRATEGIES[spec.update](self)
         self._domain = DOMAINS[spec.domain](self)
-        if self._write.callback:
-            # Callback strategies (the Dolos Mi-SU engine) replace the
-            # per-write Process + generator machinery wholesale; binding
-            # the engine's methods keeps the hot path free of per-call
-            # dispatch.
-            self.submit_write = self._write.submit_write  # type: ignore[method-assign]
-            self.read = self._write.read  # type: ignore[method-assign]
         battery = getattr(self._domain, "battery_drain", None)
         if battery is not None:
             # Only battery-backed domains expose ``battery_drain`` (the
@@ -139,90 +133,110 @@ class MemoryController:
 
     # -- core-facing API -----------------------------------------------
     def start(self) -> None:
-        """Launch the background drain process."""
-        if self._drain_process is None:
-            self._drain_process = Process(
-                self.sim, self._drain_loop(), name=f"{self.kind.value}.drain"
-            )
+        """Arm the background drain."""
+        if not self._started:
+            self._started = True
+            self.sim.call_now(self._drain.issue)
 
     def submit_write(self, request: WriteRequest) -> Optional[Signal]:
         """Hand a write to the controller.
 
         PERSIST writes return a Signal fired at persist completion;
-        EVICTION writes are fire-and-forget (``None``).
+        EVICTION writes are fire-and-forget (``None``).  The write path
+        starts at the current cycle with the protection strategy's entry
+        stage.
         """
+        sim = self.sim
         request.seq = self._seq
         self._seq += 1
-        request.arrival = self.sim.now
+        request.arrival = sim.now
         self.writes_received += 1
         self.stats.add("controller.writes")
         # Names are static: per-request formatted names cost a string
         # build per write and nothing reads them (request identity for
         # the span tracer rides on the timeline event details instead).
-        if request.kind is WriteKind.PERSIST:
-            done = Signal(self.sim, "persist")
-            Process(self.sim, self._write.path(request, done), name="write")
-            return done
-        Process(self.sim, self._write.path(request, None), name="wb")
-        return None
+        done = (
+            Signal(sim, "persist") if request.kind is WriteKind.PERSIST else None
+        )
+        sim.call_now(self._write.submit_write, request, done)
+        return done
 
     def read(self, address: int) -> Signal:
         """Demand read (LLC miss).  Signal fires with total latency."""
+        sim = self.sim
         self.reads_received += 1
         self.stats.add("controller.reads")
-        done = Signal(self.sim, "read")
-        Process(self.sim, self._read_path(ReadRequest(address, self.sim.now), done))
+        done = Signal(sim, "read")
+        sim.call_now(self._read_start, ReadRequest(address, sim.now), done)
         return done
-
-    def _read_path(self, request: ReadRequest, done: Signal) -> Generator:
-        """Serve a read from the WPQ or the device (+ verification).
-
-        The verification yield exists only when the composition has a
-        Ma-SU — the non-secure ideal pays device timing alone.
-        """
-        if self.wpq.lookup(request.address) is not None:
-            self.wpq.read_hits += 1
-            yield self._wpq_read_hit_latency()
-            done.fire(self.sim.now - request.arrival)
-            return
-        finish = self.nvm.timed_access(self.sim.now, request.address, False)
-        yield finish - self.sim.now
-        if self.masu is not None:
-            verify = self.masu.read_verify_latency(self.sim.now, request.address)
-            yield verify
-        done.fire(self.sim.now - request.arrival)
-
-    def _drain_loop(self) -> Generator:
-        return self._drain.loop()
 
     def crash(self):
         """Power failure: delegate to the persistence-domain policy."""
         return self._domain.crash()
 
-    # -- shared helpers --------------------------------------------------
-    def _acquire_wpq_slot(self, request: WriteRequest) -> Generator:
-        """Retry until a WPQ slot is allocated; returns the entry.
+    # -- write stages shared by every protection strategy ----------------
+    def _allocate(
+        self, request: WriteRequest, done: Optional[Signal], blocked: bool = False
+    ) -> None:
+        """Claim a WPQ slot, then hand over to the strategy's
+        ``allocated`` stage.
 
         A request that arrives to a full queue is NACK'd and re-tried
         when a slot frees; the NACK is one Table 2 "re-try event"
         (counted once per request — later wake-ups that lose the race
         for a freed slot are queueing, not new re-tries).
         """
-        blocked = False
-        while True:
-            if self.config.wpq_coalescing:
-                entry = self.wpq.try_coalesce(request)
-                if entry is not None:
-                    self.stats.add("wpq.coalesced")
-                    return entry
-            entry = self.wpq.try_allocate(request)
+        wpq = self.wpq
+        if self.config.wpq_coalescing:
+            entry = wpq.try_coalesce(request)
             if entry is not None:
-                return entry
-            if not blocked:
-                blocked = True
-                self.wpq.record_retry()
-                self.stats.add("wpq.retries")
-            yield self.slot_freed
+                self.stats.add("wpq.coalesced")
+                self._write.allocated(entry, request, done)
+                return
+        entry = wpq.try_allocate(request)
+        if entry is not None:
+            self._write.allocated(entry, request, done)
+            return
+        if not blocked:
+            wpq.record_retry()
+            self.stats.add("wpq.retries")
+        self.slot_freed.subscribe(
+            lambda _value: self._allocate(request, done, True)
+        )
+
+    def _write_done(self, entry, done: Optional[Signal]) -> None:
+        """The write is in the persistence domain."""
+        if done is not None:
+            done.fire(self.sim.now)
+            self.stats.add("persist.completed")
+        self.entry_added.fire(entry)
+
+    # -- read stages -----------------------------------------------------
+    def _read_start(self, request: ReadRequest, done: Signal) -> None:
+        """Serve a read from the WPQ or the device."""
+        sim = self.sim
+        if self.wpq.lookup(request.address) is not None:
+            self.wpq.read_hits += 1
+            sim.call_after(
+                self._wpq_read_hit_latency(),
+                partial(self._read_fire, request, done),
+            )
+            return
+        finish = self.nvm.timed_access(sim.now, request.address, False)
+        sim.call_after(
+            finish - sim.now, partial(self._read_verify, request, done)
+        )
+
+    def _read_verify(self, request: ReadRequest, done: Signal) -> None:
+        """Ma-SU verification; the non-secure ideal pays device timing alone."""
+        if self.masu is None:
+            self._read_fire(request, done)
+            return
+        verify = self.masu.read_verify_latency(self.sim.now, request.address)
+        self.sim.call_after(verify, partial(self._read_fire, request, done))
+
+    def _read_fire(self, request: ReadRequest, done: Signal) -> None:
+        done.fire(self.sim.now - request.arrival)
 
     def _wpq_read_hit_latency(self) -> int:
         """Serving a read from the WPQ: tag lookup + XOR decrypt."""

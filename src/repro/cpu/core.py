@@ -1,9 +1,9 @@
 """The trace-driven core.
 
-The core is a single simulation process that walks a trace, batching
-pure-latency work (compute, cache hits) into one ``Delay`` and
-interacting with the event queue only where concurrency matters:
-LLC-miss reads, persist submissions, and fences.
+The core walks a trace in a plain loop, batching pure-latency work
+(compute, cache hits) into one delay and interacting with the event
+queue only where concurrency matters: LLC-miss reads, persist
+submissions, and fences.
 
 Persist semantics (the crux of the paper):
 
@@ -18,7 +18,7 @@ Persist semantics (the crux of the paper):
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Iterator, Optional, Tuple
 
 from repro.config import SimConfig
 from repro.core.controller import MemoryController
@@ -35,13 +35,25 @@ from repro.cpu.trace import (
     OP_TXEND,
     OP_WORK,
 )
-from repro.engine import Process, Signal, Simulator
+from repro.engine import Signal, Simulator
 from repro.mem.hierarchy import CacheHierarchy
 from repro.stats import StatsRegistry
 
 
 class TraceCore:
-    """Replays one trace against a memory controller."""
+    """Replays one trace against a memory controller.
+
+    Replay is a plain loop over the op iterator (:meth:`_replay`).
+    Non-blocking ops run inline and their latency accumulates in one
+    batched delay.  The loop parks, handing the kernel a bound-method
+    continuation, only when simulated time must pass or the core must
+    wait: a nonzero batched delay before an op that interacts with the
+    rest of the system, a demand miss, a fence (or a strict-mode clwb)
+    while persists are outstanding, and a future arrival stamp.  The
+    batched delay is always flushed before the loop parks, so only the
+    op being finished and the transaction/arrival/fence-stall state
+    outlive a park, as attributes.
+    """
 
     def __init__(
         self,
@@ -60,44 +72,50 @@ class TraceCore:
         self.finished = False
         self._outstanding_persists = 0
         self._fence_signal = Signal(sim, "core.fence")
-        self._process: Optional[Process] = None
         self._work_carry = 0.0
+        self._strict = config.core.persist_model == "strict"
         #: Optional instrumentation (span tracing): when attached, the
         #: core logs one ``core.fence_stall`` event per fence wake-up.
         #: The hot path pays a single ``None`` check otherwise.
         self.timeline = None
+        # -- replay state that outlives a park ----------------------------
+        self._ops: Optional[Iterator[Tuple]] = None
+        #: The op whose post-delay half runs when the loop resumes.
+        self._op: Tuple = ()
+        #: Operand of that op: the missed address, or the flushed line.
+        self._operand = 0
+        #: Dirty victims of a demand miss, written back once it returns.
+        self._writebacks: Tuple = ()
+        self._tx_start = 0
+        # Open-loop bookkeeping (scenario traces only): the arrival stamp
+        # preceding the current transaction, or -1 when the trace is
+        # classic closed-loop.  Sojourn and queueing delay are recorded
+        # at OP_TXEND, overall and per tenant.
+        self._pending_arrival = -1
+        self._pending_tenant = 0
+        self._stall_start = 0
+        #: Whether the current stall is an OP_FENCE (counted once it ends).
+        #: A flag rather than a stored continuation: a bound method kept
+        #: on the core is a reference cycle, which would keep every
+        #: finished core and its cache hierarchy alive until the cyclic
+        #: collector happens to run.
+        self._stall_is_fence = False
 
     # ------------------------------------------------------------------
-    def run(self, trace: Iterable[Tuple]) -> Process:
-        """Start replaying ``trace``; returns the core process."""
-        if self._process is not None:
+    def run(self, trace: Iterable[Tuple]) -> None:
+        """Start replaying ``trace`` at the current cycle."""
+        if self._ops is not None:
             raise RuntimeError("core already running a trace")
-        self._process = Process(self.sim, self._run(trace), name="core")
-        return self._process
+        self._ops = iter(trace)
+        self.sim.call_now(self._replay)
 
-    def _run(self, trace: Iterable[Tuple]):
-        # Hot loop: one iteration per trace op.  Delays are yielded as
-        # bare ints and waits as bare Signals (the allocation-free
-        # directive forms); invariant collaborators are hoisted into
-        # locals once — the generator's frame keeps them live across
-        # yields.
-        sim = self.sim
-        ipc = self.config.core.ipc
-        strict = self.config.core.persist_model == "strict"
+    def _replay(self) -> None:
+        """Run ops inline until one must wait; every wake-up re-enters."""
         hierarchy_access = self.hierarchy.access
-        hierarchy_clwb = self.hierarchy.clwb
-        controller_read = self.controller.read
         stats_add = self.stats.add
-        fence_signal = self._fence_signal
-        acc = 0  # batched latency not yet yielded to the kernel
-        tx_start_cycle = 0
-        # Open-loop bookkeeping (scenario traces only): the arrival
-        # stamp preceding the current transaction, or -1 when the trace
-        # is classic closed-loop.  Sojourn and queueing delay are
-        # recorded at OP_TXEND, overall and per tenant.
-        pending_arrival = -1
-        pending_tenant = 0
-        for op in trace:
+        ipc = self.config.core.ipc
+        acc = 0  # batched latency not yet handed to the kernel
+        for op in self._ops:
             code = op[0]
             if code == OP_WORK:
                 n = op[1]
@@ -106,115 +124,154 @@ class TraceCore:
                 whole = int(cost)
                 self._work_carry = cost - whole
                 acc += whole
-            elif code == OP_LOAD or code == OP_STORE:
+                continue
+            if code == OP_LOAD or code == OP_STORE:
                 self.instructions += 1
-                is_store = code == OP_STORE
-                result = hierarchy_access(op[1], is_store)
+                result = hierarchy_access(op[1], code == OP_STORE)
                 acc += result.latency
                 if result.needs_memory:
-                    if is_store:
+                    if code == OP_STORE:
                         # Write-allocate fill: the store retires through
                         # the store buffer; the fill proceeds in the
                         # background (OoO cores hide store misses).
-                        controller_read(op[1])
+                        self.controller.read(op[1])
                         stats_add("core.store_miss_fills")
                     else:
                         # Demand load: the core (its dependent work)
                         # waits for the memory + verification round trip.
+                        self._operand = op[1]
+                        self._writebacks = result.writebacks
                         if acc:
-                            yield acc
-                            acc = 0
-                        done = controller_read(op[1])
-                        yield done
-                        stats_add("core.memory_reads")
+                            self._park(acc, op)
+                        else:
+                            self._demand_read()
+                        return
                 for victim in result.writebacks:
                     self._submit_eviction(victim)
-            elif code == OP_CLWB:
+                continue
+            if code == OP_CLWB:
                 self.instructions += 1
                 acc += 1  # issue slot
-                line = hierarchy_clwb(op[1])
-                if line is not None:
-                    if acc:
-                        yield acc
-                        acc = 0
-                    self._launch_persist(line)
-                    if strict:
-                        # Strict persistency: the flush itself blocks
-                        # until the write is in the persistence domain.
-                        while self._outstanding_persists > 0:
-                            started = sim.now
-                            yield fence_signal
-                            stall = sim.now - started
-                            stats_add("core.fence_stall_cycles", stall)
-                            if self.timeline is not None:
-                                self.timeline.event(
-                                    sim.now, "core.fence_stall", str(stall)
-                                )
+                line = self.hierarchy.clwb(op[1])
+                if line is None:
+                    continue
+                self._operand = line
             elif code == OP_FENCE:
                 self.instructions += 1
-                if acc:
-                    yield acc
-                    acc = 0
-                while self._outstanding_persists > 0:
-                    started = sim.now
-                    yield fence_signal
-                    stall = sim.now - started
-                    stats_add("core.fence_stall_cycles", stall)
-                    if self.timeline is not None:
-                        self.timeline.event(
-                            sim.now, "core.fence_stall", str(stall)
-                        )
-                stats_add("core.fences")
-            elif code == OP_TXBEGIN:
-                if acc:
-                    yield acc
-                    acc = 0
-                tx_start_cycle = sim.now
-            elif code == OP_TXEND:
-                if acc:
-                    yield acc
-                    acc = 0
-                self.stats.record("core.tx_cycles", sim.now - tx_start_cycle)
-                stats_add("core.transactions")
-                if pending_arrival >= 0:
-                    sojourn = sim.now - pending_arrival
-                    queue_delay = tx_start_cycle - pending_arrival
-                    record = self.stats.record
-                    record("core.sojourn_cycles", sojourn)
-                    record("core.queue_delay_cycles", queue_delay)
-                    tenant_scope = f"core.tenant.{pending_tenant}"
-                    record(tenant_scope + ".sojourn_cycles", sojourn)
-                    record(tenant_scope + ".queue_delay_cycles", queue_delay)
-                    if self.timeline is not None:
-                        self.timeline.event(
-                            sim.now,
-                            "core.tx_sojourn",
-                            f"{pending_tenant}:{sojourn}",
-                        )
-                    pending_arrival = -1
-            elif code == OP_ARRIVAL:
-                # The next transaction was offered at the packed cycle.
-                # If the core is ahead of the arrival clock it idles
-                # (open-loop underload); if behind, the transaction has
-                # queued and its wait shows up in the sojourn.
-                if acc:
-                    yield acc
-                    acc = 0
-                operand = op[1]
-                pending_tenant = operand >> ARRIVAL_TENANT_SHIFT
-                pending_arrival = operand & ARRIVAL_CYCLE_MASK
-                stats_add("core.arrivals")
-                if pending_arrival > sim.now:
-                    yield pending_arrival - sim.now
-                else:
-                    stats_add("core.arrivals_queued")
-            else:  # pragma: no cover - defensive
+            elif code not in (OP_TXBEGIN, OP_TXEND, OP_ARRIVAL):
                 raise ValueError(f"unknown trace op {op!r}")
+            # Every remaining op first hands the batched delay over.
+            if acc:
+                self._park(acc, op)
+                return
+            if self._finish_op(op):
+                return
         if acc:
-            yield acc
-        # Implicit final fence so all persists land before we report.
-        while self._outstanding_persists > 0:
-            yield fence_signal
+            self.sim.call_after(acc, self._finish)
+            return
+        self._finish()
+
+    def _park(self, delay: int, op: Tuple) -> None:
+        """Let ``delay`` cycles pass, then finish ``op`` and resume."""
+        self._op = op
+        self.sim.call_after(delay, self._resume)
+
+    def _resume(self) -> None:
+        op = self._op
+        if op[0] == OP_LOAD:
+            self._demand_read()
+        elif not self._finish_op(op):
+            self._replay()
+
+    def _finish_op(self, op: Tuple) -> bool:
+        """The part of ``op`` after its batched delay; True if it parked."""
+        sim = self.sim
+        code = op[0]
+        if code == OP_CLWB:
+            self._launch_persist(self._operand)
+            if self._strict and self._outstanding_persists > 0:
+                # Strict persistency: the flush itself blocks until the
+                # write is in the persistence domain.
+                self._stall(False)
+                return True
+        elif code == OP_FENCE:
+            if self._outstanding_persists > 0:
+                self._stall(True)
+                return True
+            self.stats.add("core.fences")
+        elif code == OP_TXBEGIN:
+            self._tx_start = sim.now
+        elif code == OP_TXEND:
+            self._end_transaction()
+        else:  # OP_ARRIVAL
+            # The next transaction was offered at the packed cycle.  If
+            # the core is ahead of the arrival clock it idles (open-loop
+            # underload); if behind, the transaction has queued and its
+            # wait shows up in the sojourn.
+            operand = op[1]
+            self._pending_tenant = operand >> ARRIVAL_TENANT_SHIFT
+            self._pending_arrival = arrival = operand & ARRIVAL_CYCLE_MASK
+            self.stats.add("core.arrivals")
+            if arrival > sim.now:
+                sim.call_after(arrival - sim.now, self._replay)
+                return True
+            self.stats.add("core.arrivals_queued")
+        return False
+
+    def _demand_read(self) -> None:
+        self.controller.read(self._operand).subscribe(self._read_returned)
+
+    def _read_returned(self, _latency: object) -> None:
+        self.stats.add("core.memory_reads")
+        for victim in self._writebacks:
+            self._submit_eviction(victim)
+        self._replay()
+
+    def _stall(self, is_fence: bool) -> None:
+        """Wait for the outstanding persists to land, then resume."""
+        self._stall_start = self.sim.now
+        self._stall_is_fence = is_fence
+        self._fence_signal.subscribe(self._stall_woken)
+
+    def _stall_woken(self, _value: object) -> None:
+        sim = self.sim
+        stall = sim.now - self._stall_start
+        self.stats.add("core.fence_stall_cycles", stall)
+        if self.timeline is not None:
+            self.timeline.event(sim.now, "core.fence_stall", str(stall))
+        if self._outstanding_persists > 0:
+            self._stall(self._stall_is_fence)
+            return
+        if self._stall_is_fence:
+            self.stats.add("core.fences")
+        self._replay()
+
+    def _end_transaction(self) -> None:
+        sim = self.sim
+        record = self.stats.record
+        record("core.tx_cycles", sim.now - self._tx_start)
+        self.stats.add("core.transactions")
+        arrival = self._pending_arrival
+        if arrival >= 0:
+            sojourn = sim.now - arrival
+            queue_delay = self._tx_start - arrival
+            tenant = self._pending_tenant
+            record("core.sojourn_cycles", sojourn)
+            record("core.queue_delay_cycles", queue_delay)
+            tenant_scope = f"core.tenant.{tenant}"
+            record(tenant_scope + ".sojourn_cycles", sojourn)
+            record(tenant_scope + ".queue_delay_cycles", queue_delay)
+            if self.timeline is not None:
+                self.timeline.event(
+                    sim.now, "core.tx_sojourn", f"{tenant}:{sojourn}"
+                )
+            self._pending_arrival = -1
+
+    def _finish(self, _value: object = None) -> None:
+        """Implicit final fence so all persists land before we report."""
+        if self._outstanding_persists > 0:
+            self._fence_signal.subscribe(self._finish)
+            return
         self.cycles = self.sim.now
         self.finished = True
         self.stats.set("core.cycles", self.cycles)

@@ -1,9 +1,11 @@
 """Discrete-event simulation kernel.
 
 Everything in the Dolos reproduction is timed by this small engine: a
-cycle-stamped event queue (:class:`~repro.engine.kernel.Simulator`),
-generator-based processes (:mod:`repro.engine.process`) and shared
-resources (:mod:`repro.engine.resources`).
+cycle-stamped event queue drained by one loop
+(:class:`~repro.engine.kernel.Simulator`), the :class:`Signal`
+completion handle, and shared resources
+(:mod:`repro.engine.resources`).  Simulated work is written as chains
+of callback stages scheduled on the kernel.
 
 The engine measures time in **core clock cycles** (the paper's 4 GHz
 core clock); nanosecond device parameters are converted to cycles in
@@ -11,19 +13,14 @@ core clock); nanosecond device parameters are converted to cycles in
 """
 
 from repro.engine.events import Event, EventQueue
-from repro.engine.kernel import Simulator, SimulationError
-from repro.engine.process import Delay, Process, Signal, WaitSignal
-from repro.engine.resources import FifoChannel, Resource
+from repro.engine.kernel import Signal, SimulationError, Simulator
+from repro.engine.resources import Resource
 
 __all__ = [
-    "Delay",
     "Event",
     "EventQueue",
-    "FifoChannel",
-    "Process",
     "Resource",
     "Signal",
     "SimulationError",
     "Simulator",
-    "WaitSignal",
 ]

@@ -5,12 +5,11 @@ with equal timestamps fire in scheduling order (FIFO), which keeps the
 simulation deterministic regardless of heap internals.
 
 Internally the queue stores plain tuples, not :class:`Event` objects:
-``(time, seq, callback)`` for the lightweight fast path and
+``(time, seq, callback)`` for the non-cancellable callbacks the
+simulator's hot loop schedules (``Simulator.call_after``) and
 ``(time, seq, callback, event)`` for cancellable events.  Tuple
 comparison resolves entirely on ``(time, seq)`` (sequence numbers are
-unique), so every heap operation runs on C-level comparisons instead of
-dispatching ``Event.__lt__`` — the dominant cost of the old
-object-per-entry design in the simulator's hot loop.
+unique), so every heap operation runs on C-level comparisons.
 
 Cancelled entries stay in the heap (removing an arbitrary heap element
 is O(n)) but are *accounted*: every :meth:`Event.cancel` bumps a dead
@@ -66,11 +65,6 @@ class Event:
         if queue is not None:
             queue.note_cancelled()
 
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "cancelled" if self.cancelled else "pending"
         name = self.label or getattr(self.callback, "__name__", "<fn>")
@@ -108,15 +102,6 @@ class EventQueue:
         self._seq += 1
         return event
 
-    def push_fast(self, time: int, callback: Callable[[], Any]) -> None:
-        """Schedule a non-cancellable callback at absolute cycle ``time``.
-
-        Skips the :class:`Event` wrapper entirely; use for the hot-loop
-        callbacks that never need a ``cancel()`` handle.
-        """
-        heapq.heappush(self._heap, (time, self._seq, callback))
-        self._seq += 1
-
     # ------------------------------------------------------------------
     # Cancellation accounting / compaction
     # ------------------------------------------------------------------
@@ -133,8 +118,8 @@ class EventQueue:
     def compact(self) -> None:
         """Drop every cancelled entry and re-heapify (one O(n) pass).
 
-        Rebuilds *in place* (slice assignment): the kernel's hot loops
-        bind the heap list locally, so the list object's identity must
+        Rebuilds *in place* (slice assignment): the kernel's drain loop
+        binds the heap list locally, so the list object's identity must
         survive a compaction triggered by a mid-run ``cancel()``.
         """
         heap = self._heap
@@ -154,29 +139,11 @@ class EventQueue:
                 self._dead = 0
 
     # ------------------------------------------------------------------
-    def pop(self) -> Event:
-        """Remove and return the earliest event (cancelled or not).
-
-        Lightweight entries are wrapped in a fresh :class:`Event` so
-        callers see a uniform interface.
-
-        Raises:
-            IndexError: if the queue is empty.
-        """
-        entry = heapq.heappop(self._heap)
-        if len(entry) == 4:
-            if entry[3].cancelled:
-                self._discard_dead(1)
-            return entry[3]
-        return Event(entry[0], entry[1], entry[2])
-
     def pop_live(self) -> Optional[Tuple]:
         """Pop the earliest *live* entry, discarding cancelled ones.
 
         Returns the raw heap entry ``(time, seq, callback[, event])`` or
-        ``None`` when the queue is empty.  This is the kernel's hot-path
-        accessor: one traversal per fired event instead of the old
-        ``peek_time()`` + ``pop()`` pair.
+        ``None`` when the queue is empty (``Simulator.step``'s accessor).
         """
         heap = self._heap
         pop = heapq.heappop
@@ -190,28 +157,6 @@ class EventQueue:
             return entry
         self._discard_dead(dead)
         return None
-
-    def pop_epoch(self, out: List[Tuple]) -> int:
-        """Drain every entry scheduled at the earliest timestamp.
-
-        Appends the raw live entries (in seq order — heap pops at equal
-        times resolve on seq) to ``out`` and returns that timestamp.
-        Cancelled entries encountered on the way are dropped and
-        deducted from the dead count.  The queue must be non-empty.
-        """
-        heap = self._heap
-        pop = heapq.heappop
-        append = out.append
-        now = heap[0][0]
-        dead = 0
-        while heap and heap[0][0] == now:
-            entry = pop(heap)
-            if len(entry) == 4 and entry[3].cancelled:
-                dead += 1
-                continue
-            append(entry)
-        self._discard_dead(dead)
-        return now
 
     def peek_time(self) -> Optional[int]:
         """Return the timestamp of the earliest live event, or ``None``.
@@ -233,7 +178,7 @@ class EventQueue:
         return None
 
     def requeue(self, entries: List[Tuple]) -> None:
-        """Push raw entries back (undelivered epoch remainder on stop)."""
+        """Push raw entries back (undelivered cycle remainder on stop)."""
         heap = self._heap
         push = heapq.heappush
         for entry in entries:

@@ -2,28 +2,32 @@
 
 :class:`Simulator` owns the event queue and the notion of *now*.  All
 hardware models in the reproduction (caches, WPQ, security units, NVM)
-schedule their work through a shared ``Simulator`` instance.
+schedule their work through a shared ``Simulator`` instance as plain
+callbacks; a multi-step hardware pipeline is a chain of callback stages,
+each scheduling the next.  :class:`Signal` is the one-shot completion
+handle a stage hands back to whoever waits on it (a persist, a read).
 
-Two unbounded-drain strategies exist, selected at construction:
-
-* **epoch** (default) — :meth:`_run_epoch` pops *all* events stamped
-  with the earliest cycle in one heap drain and dispatches them from a
-  flat list.  ``now`` is written once per cycle instead of once per
-  event, the fired counter is bumped once per batch, and cancelled
-  entries are dropped in the same pass (the queue additionally compacts
-  lazily when corpses dominate — see :mod:`repro.engine.events`).
-* **heap** (``epoch=False``) — the original one-heap-traversal-per-event
-  loop, kept as the reference implementation; the property suite
-  asserts event-for-event equivalence between the two on random
-  schedules, cancellations, and same-cycle ties.
+There is one drain loop (:meth:`Simulator.run`).  It pops *all* events
+stamped with the earliest cycle in one heap sweep and dispatches them
+from a flat list: ``now`` is written once per cycle, and cancelled
+entries are dropped in the same pass (the queue additionally compacts
+lazily when corpses dominate — see :mod:`repro.engine.events`).  Events
+a callback schedules at the current cycle land in the next sweep of the
+same cycle; their sequence numbers exceed every queued event, so the
+firing order is exactly that of a one-event-at-a-time heap drain.
 """
 
 from __future__ import annotations
 
 import heapq
+import sys
+from functools import partial
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.engine.events import Event, EventQueue
+
+#: "No limit" for the drain loop's cycle horizon and event budget.
+_UNBOUNDED = sys.maxsize
 
 
 class SimulationError(RuntimeError):
@@ -32,11 +36,6 @@ class SimulationError(RuntimeError):
 
 class Simulator:
     """Discrete-event simulator measuring time in integer cycles.
-
-    Args:
-        epoch: use the batch-epoch drain (default).  ``False`` selects
-            the legacy per-event heap drain — same semantics, kept as
-            the reference for differential tests and benchmarks.
 
     Example:
         >>> sim = Simulator()
@@ -47,20 +46,17 @@ class Simulator:
         [10]
     """
 
-    def __init__(self, epoch: bool = True) -> None:
+    def __init__(self) -> None:
         self.now: int = 0
         self._queue = EventQueue()
-        self._running = False
         self._stop_requested = False
         self.events_fired: int = 0
-        self._epoch = epoch
-        #: Reused scratch list for the epoch drain (allocated once).
+        #: Reused scratch list for the per-cycle sweep (allocated once).
         self._batch: List[Tuple] = []
-        #: True while the epoch drain still holds *undelivered* events
-        #: for the current cycle in its batch list (they are out of the
-        #: heap, so callers cannot see them by peeking).  Consulted by
-        #: :class:`repro.engine.process.Process` to decide whether a
-        #: zero-delay first step may run synchronously.
+        #: True while the drain still holds *undelivered* events for the
+        #: current cycle in its batch list (they are out of the heap, so
+        #: callers cannot see them by peeking).  Consulted by
+        #: :meth:`call_now`.
         self._batch_pending = False
 
     # ------------------------------------------------------------------
@@ -107,9 +103,9 @@ class Simulator:
 
         The lightweight sibling of :meth:`schedule`: no :class:`Event`
         object is allocated and no handle is returned, which makes it
-        markedly cheaper for the completion callbacks that dominate the
-        hot loop (WPQ drains, Ma-SU completions, process steps).  The
-        heap push is inlined here — one C call, no queue-method hop.
+        markedly cheaper for the stage callbacks that dominate the hot
+        loop.  The heap push is inlined here — one C call, no
+        queue-method hop.
 
         Raises:
             SimulationError: if ``delay`` is negative.
@@ -132,145 +128,113 @@ class Simulator:
         heapq.heappush(queue._heap, (int(time), queue._seq, callback))
         queue._seq += 1
 
+    def call_now(self, callback: Callable[..., Any], *args: Any) -> None:
+        """Run ``callback(*args)`` at the current cycle.
+
+        When nothing else is pending at this cycle the call runs
+        synchronously — equivalent to scheduling it (anything queued
+        later lands behind it in sequence order anyway) and one event
+        cheaper.  With same-cycle events pending it is queued behind
+        them, preserving exact FIFO interleaving.  Every request the
+        controller accepts and every background loop starts through
+        here.
+        """
+        heap = self._queue._heap
+        if self._batch_pending or (heap and heap[0][0] == self.now):
+            self.call_after(0, partial(callback, *args) if args else callback)
+        else:
+            callback(*args)
+
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> None:
-        """Fire events in timestamp order.
+        """Fire events in timestamp order until the queue is empty.
 
         Args:
             until: stop once the clock would pass this cycle (events at
-                exactly ``until`` still fire).
+                exactly ``until`` still fire) and leave the clock there.
             max_events: safety valve against runaway simulations.
+
+        Raises:
+            SimulationError: if ``until`` lies before the current cycle,
+                or once ``max_events`` events fired in this call.
         """
-        self._running = True
+        if until is not None and until < self.now:
+            raise SimulationError(
+                f"cannot run until {until}, already at {self.now}"
+            )
         self._stop_requested = False
-        try:
-            if until is None and max_events is None:
-                if self._epoch:
-                    self._run_epoch()
-                else:
-                    self._run_fast()
-            else:
-                self._run_general(until, max_events)
-        finally:
-            self._running = False
+        self._drain(
+            _UNBOUNDED if until is None else until,
+            _UNBOUNDED if max_events is None else max_events,
+        )
 
-    def _run_epoch(self) -> None:
-        """Unbounded drain, one heap sweep per *cycle* (batch epoch).
-
-        All events stamped with the earliest cycle are popped in one
-        drain and dispatched from a flat list: ``now`` is stored once
-        per epoch, ``events_fired`` accumulated once per epoch, and the
-        per-event work reduces to one cancellation check plus the
-        callback itself.  Events a callback schedules at the current
-        cycle land in the *next* epoch of the same cycle — their seq
-        numbers exceed every already-queued event, so firing order is
-        identical to the per-event heap drain.
+    def _drain(self, horizon: int, budget: int) -> None:
+        """The drain loop: one heap sweep per *cycle*.
 
         An epoch holding a single event (the common case in sparse
-        regions of the schedule) skips the batch list entirely.
+        regions of the schedule) skips the batch list entirely.  A
+        stop request or an exhausted budget puts the undelivered rest
+        of the cycle back on the heap, so a later run()/step() resumes
+        exactly there.
         """
         queue = self._queue
         heap = queue._heap
         heappop = heapq.heappop
         batch = self._batch
-        while heap:
-            entry = heappop(heap)
-            if len(entry) == 4 and entry[3].cancelled:
-                queue._discard_dead(1)
-                continue
-            now = entry[0]
-            self.now = now
-            if not heap or heap[0][0] != now:
-                # Singleton epoch (sparse regions of the schedule):
-                # dispatch straight off the pop, no batch churn.
-                entry[2]()
-                self.events_fired += 1
-                if self._stop_requested:
-                    break
-                continue
-            batch.append(entry)
-            while heap and heap[0][0] == now:
-                entry = heappop(heap)
-                if len(entry) == 4 and entry[3].cancelled:
-                    queue._discard_dead(1)
-                    continue
-                batch.append(entry)
-            fired = 0
-            stopped = False
-            last = len(batch) - 1
-            self._batch_pending = True
-            for i, entry in enumerate(batch):
-                if i == last:
-                    self._batch_pending = False
-                # Re-check: an earlier same-cycle event may have
-                # cancelled a later one after the batch was drained.
-                if len(entry) == 4 and entry[3].cancelled:
-                    queue._discard_dead(1)
-                    continue
-                entry[2]()
-                fired += 1
-                if self._stop_requested:
-                    # Undelivered remainder goes back on the heap so a
-                    # later run()/step() resumes exactly here.
-                    queue.requeue(batch[i + 1:])
-                    stopped = True
-                    break
-            self._batch_pending = False
-            self.events_fired += fired
-            del batch[:]
-            if stopped:
-                break
-
-    def _run_fast(self) -> None:
-        """Unbounded drain: one heap traversal per fired event.
-
-        The legacy (pre-epoch) hot loop, kept as the reference
-        implementation the property suite differences the epoch drain
-        against, and for A/B benchmarking (``events_per_sec_fast`` vs
-        ``events_per_sec_epoch`` in BENCH_kernel.json).
-        """
-        queue = self._queue
-        heap = queue._heap
-        heappop = heapq.heappop
-        while heap:
-            if self._stop_requested:
-                break
-            entry = heappop(heap)
-            if len(entry) == 4 and entry[3].cancelled:
-                queue._discard_dead(1)
-                continue
-            self.now = entry[0]
-            entry[2]()
-            self.events_fired += 1
-
-    def _run_general(
-        self, until: Optional[int], max_events: Optional[int]
-    ) -> None:
-        """Bounded drain honouring ``until`` / ``max_events``."""
-        queue = self._queue
         fired = 0
-        while True:
-            if self._stop_requested:
-                break
-            next_time = queue.peek_time()
-            if next_time is None:
-                break
-            if until is not None and next_time > until:
-                self.now = until
-                break
-            entry = queue.pop_live()
-            if entry is None:
-                break
-            self.now = entry[0]
-            entry[2]()
-            fired += 1
-            self.events_fired += 1
-            if max_events is not None and fired >= max_events:
-                raise SimulationError(
-                    f"exceeded max_events={max_events} (runaway simulation?)"
-                )
+        try:
+            while heap:
+                entry = heap[0]
+                if len(entry) == 4 and entry[3].cancelled:
+                    heappop(heap)
+                    queue._discard_dead(1)
+                    continue
+                now = entry[0]
+                if now > horizon:
+                    self.now = horizon
+                    return
+                heappop(heap)
+                self.now = now
+                if not heap or heap[0][0] != now:
+                    entry[2]()
+                    fired += 1
+                else:
+                    batch.append(entry)
+                    while heap and heap[0][0] == now:
+                        entry = heappop(heap)
+                        if len(entry) == 4 and entry[3].cancelled:
+                            queue._discard_dead(1)
+                            continue
+                        batch.append(entry)
+                    last = len(batch) - 1
+                    self._batch_pending = True
+                    for i, entry in enumerate(batch):
+                        if i == last:
+                            self._batch_pending = False
+                        # Re-check: an earlier same-cycle event may have
+                        # cancelled a later one after the sweep.
+                        if len(entry) == 4 and entry[3].cancelled:
+                            queue._discard_dead(1)
+                            continue
+                        entry[2]()
+                        fired += 1
+                        if fired >= budget or self._stop_requested:
+                            queue.requeue(batch[i + 1:])
+                            break
+                    self._batch_pending = False
+                    del batch[:]
+                if fired >= budget:
+                    raise SimulationError(
+                        f"exceeded max_events={budget} (runaway simulation?)"
+                    )
+                if self._stop_requested:
+                    return
+        finally:
+            self.events_fired += fired
+            self._batch_pending = False
+            del batch[:]
 
     def step(self) -> bool:
         """Fire the single earliest live event.  Returns ``False`` when idle."""
@@ -292,3 +256,47 @@ class Simulator:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Simulator(now={self.now}, pending={self.pending_events})"
+
+
+class Signal:
+    """A broadcast one-shot rendezvous: the completion handle of a stage.
+
+    Waiters subscribe a ``callback(value)``; any number of them are
+    called, synchronously and in subscription order, by one
+    :meth:`fire`.  A waiter that subscribes during a fire waits for the
+    next one.
+    """
+
+    def __init__(self, sim: Simulator, name: str = "") -> None:
+        self._sim = sim
+        self.name = name
+        self._waiters: List[Callable[[Any], None]] = []
+        self.fire_count = 0
+
+    def subscribe(self, callback: Callable[[Any], None]) -> None:
+        """Register ``callback(value)`` to run on the next fire."""
+        self._waiters.append(callback)
+
+    def fire(self, value: Any = None) -> None:
+        """Call all current waiters with ``value`` (immediately)."""
+        self.fire_count += 1
+        waiters = self._waiters
+        if not waiters:
+            return
+        if len(waiters) == 1:
+            # Detach before calling (a waiter may re-subscribe) but
+            # reuse the list — no allocation on the hot one-waiter fire.
+            waiter = waiters[0]
+            waiters.clear()
+            waiter(value)
+            return
+        self._waiters = []
+        for waiter in waiters:
+            waiter(value)
+
+    @property
+    def waiter_count(self) -> int:
+        return len(self._waiters)
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return f"Signal({self.name!r}, waiters={self.waiter_count})"

@@ -1,20 +1,21 @@
-"""Shared resources for processes: counting resources and FIFO channels."""
+"""Shared resources for callback stages: counting resources and lanes."""
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Generator, Optional
+from typing import Callable, Deque, Tuple
 
 from repro.engine.kernel import SimulationError, Simulator
-from repro.engine.process import Signal
 
 
 class Resource:
     """A counting resource (semaphore) with FIFO granting.
 
-    Processes acquire via ``yield from resource.acquire()`` and must
-    release exactly once per acquisition.  Used to model single-ported
-    structures such as the MAC engine or NVM banks.
+    A stage acquires with ``resource.acquire(then)``: ``then()`` runs
+    once a unit is claimed — synchronously when one is free, otherwise
+    when a release hands it over.  Every acquisition must be released
+    exactly once.  Used to model single-ported structures such as the
+    Mi-SU insertion port.
     """
 
     def __init__(self, sim: Simulator, capacity: int = 1, name: str = "") -> None:
@@ -24,7 +25,8 @@ class Resource:
         self.capacity = capacity
         self.in_use = 0
         self.name = name
-        self._wait_queue: Deque[Signal] = deque()
+        #: Blocked acquirers: (continuation, cycle it started waiting).
+        self._wait_queue: Deque[Tuple[Callable[[], None], int]] = deque()
         self.total_acquisitions = 0
         self.total_wait_cycles = 0
 
@@ -32,19 +34,14 @@ class Resource:
     def available(self) -> int:
         return self.capacity - self.in_use
 
-    def acquire(self) -> Generator[Any, Any, None]:
-        """Block until a unit is free, then claim it (generator)."""
+    def acquire(self, then: Callable[[], None]) -> None:
+        """Claim a unit, then call ``then()``; waits FIFO when none is free."""
         if self.in_use < self.capacity and not self._wait_queue:
             self.in_use += 1
             self.total_acquisitions += 1
+            then()
             return
-        gate = Signal(self._sim, name=f"{self.name}.gate")
-        self._wait_queue.append(gate)
-        started = self._sim.now
-        yield gate
-        self.total_wait_cycles += self._sim.now - started
-        self.in_use += 1
-        self.total_acquisitions += 1
+        self._wait_queue.append((then, self._sim.now))
 
     def try_acquire(self) -> bool:
         """Claim a unit without waiting.  Returns ``False`` if none free."""
@@ -60,8 +57,11 @@ class Resource:
             raise SimulationError(f"release of idle resource {self.name!r}")
         self.in_use -= 1
         if self._wait_queue:
-            gate = self._wait_queue.popleft()
-            gate.fire(None)
+            then, started = self._wait_queue.popleft()
+            self.total_wait_cycles += self._sim.now - started
+            self.in_use += 1
+            self.total_acquisitions += 1
+            then()
 
 
 class PipelineLane:
@@ -70,8 +70,8 @@ class PipelineLane:
     The unit accepts a new operation every ``interval`` cycles
     (initiation interval) while each operation's own latency may be much
     larger — the classic latency/throughput split of a pipelined MAC or
-    metadata-update engine.  ``book`` never blocks; callers ``Delay``
-    until the returned completion time.
+    metadata-update engine.  ``book`` never blocks; callers schedule
+    their next stage at the returned completion time.
     """
 
     def __init__(self, interval: int, name: str = "") -> None:
@@ -100,58 +100,3 @@ class PipelineLane:
         """Earliest cycle a new operation could start."""
         next_start = self._next_start
         return now if now > next_start else next_start
-
-
-class FifoChannel:
-    """An unbounded (or bounded) FIFO between producer and consumer processes.
-
-    ``yield from channel.get()`` blocks until an item is available;
-    :meth:`put` never blocks but raises when a bound is exceeded (the
-    caller is expected to model back-pressure explicitly — the WPQ does).
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        capacity: Optional[int] = None,
-        name: str = "",
-    ) -> None:
-        self._sim = sim
-        self.capacity = capacity
-        self.name = name
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Signal] = deque()
-        self.total_puts = 0
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    @property
-    def is_full(self) -> bool:
-        return self.capacity is not None and len(self._items) >= self.capacity
-
-    def put(self, item: Any) -> None:
-        """Append ``item``; wakes one blocked getter."""
-        if self.is_full:
-            raise SimulationError(f"channel {self.name!r} overflow")
-        self.total_puts += 1
-        if self._getters:
-            gate = self._getters.popleft()
-            gate.fire(item)
-        else:
-            self._items.append(item)
-
-    def get(self) -> Generator[Any, Any, Any]:
-        """Block until an item is available, then pop it (generator)."""
-        if self._items:
-            return self._items.popleft()
-        gate = Signal(self._sim, name=f"{self.name}.get")
-        self._getters.append(gate)
-        item = yield gate
-        return item
-
-    def try_get(self) -> Any:
-        """Pop without blocking; returns ``None`` when empty."""
-        if self._items:
-            return self._items.popleft()
-        return None

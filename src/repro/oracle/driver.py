@@ -28,12 +28,13 @@ boundary states once and re-execute per site.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from functools import partial
+from typing import Callable, List, Optional
 
 from repro.config import CACHELINE_BYTES, SimConfig
 from repro.core.controller import MemoryController, make_controller
 from repro.core.requests import WriteKind, WriteRequest
-from repro.engine import Process, Signal, Simulator, WaitSignal
+from repro.engine import Signal, Simulator
 from repro.oracle.ops import Op
 from repro.persistence.commitlog import (
     OP_DEL,
@@ -66,13 +67,15 @@ class OracleExecution:
         self.commits_fired = 0
         #: Next free value line (bump allocator; out-of-place writes).
         self._value_cursor = VALUE_BASE
-        self._driver = Process(self.sim, self._drive(), name="oracle.drive")
+        #: Index of the op being driven; ``len(ops)`` once all committed.
+        self._index = 0
+        self.sim.call_now(self._next_op)
 
     # -- lifecycle -----------------------------------------------------
     @property
     def finished(self) -> bool:
         """True once every op's commit record persisted."""
-        return self._driver.finished
+        return self._index == len(self.ops)
 
     def run(self, until: Optional[int] = None) -> None:
         """Advance the simulation (to quiescence if ``until`` is None)."""
@@ -88,72 +91,79 @@ class OracleExecution:
         assert done is not None
         return done
 
-    def _fence(self, signals: List[Signal]):
-        """Generator step: block until every signal in the batch fired.
+    def _fence(self, signals: List[Signal], then: Callable[[], None]) -> None:
+        """Call ``then()`` once every signal in the batch fired.
 
-        :class:`~repro.engine.process.Signal` has no memory, so waiting
-        on the batch one-by-one would hang if an earlier member fired
-        while we waited on a later one.  Instead each member got a
-        counting subscriber *at submit time* (persist signals always
-        fire at least one cycle after submission, so no fire can
-        precede the subscription) and a fresh aggregate signal fires on
-        the last completion.
+        :class:`~repro.engine.kernel.Signal` has no memory, so each
+        member gets a counting subscriber *at submit time* (persist
+        signals always fire at least one cycle after submission, so no
+        fire can precede the subscription) and the last completion
+        continues the chain.
         """
-        barrier = Signal(self.sim, "oracle.fence")
         remaining = len(signals)
 
         def arrived(_value) -> None:
             nonlocal remaining
             remaining -= 1
             if remaining == 0:
-                barrier.fire(self.sim.now)
+                then()
 
         for signal in signals:
             signal.subscribe(arrived)
-        yield WaitSignal(barrier)
 
-    def _drive(self):
-        for op in self.ops:
-            if op.kind == OP_PUT:
-                value = op.value
-                lines = value_lines(len(value))
-                value_address = self._value_cursor
-                self._value_cursor += lines * CACHELINE_BYTES
-                pending = [
-                    self._submit_line(
-                        value_address + i * CACHELINE_BYTES,
-                        value[i * CACHELINE_BYTES:(i + 1) * CACHELINE_BYTES],
-                    )
-                    for i in range(lines)
-                ]
-                yield from self._fence(pending)
-                record = CommitRecord(
-                    seq=op.seq,
-                    op=OP_PUT,
-                    key=op.key,
-                    value_address=value_address,
-                    value_length=len(value),
-                    checksum=value_checksum(value),
-                )
-            else:
-                record = CommitRecord(
-                    seq=op.seq,
-                    op=OP_DEL,
-                    key=op.key,
-                    value_address=0,
-                    value_length=0,
-                    checksum=value_checksum(b""),
-                )
-            commit_done = self._submit_line(
-                record_address(op.seq), record.encode()
+    def _next_op(self) -> None:
+        """Write the op's value lines, fenced before its commit record."""
+        if self.finished:
+            return
+        op = self.ops[self._index]
+        if op.kind != OP_PUT:
+            self._commit()
+            return
+        value = op.value
+        lines = value_lines(len(value))
+        value_address = self._value_cursor
+        self._value_cursor += lines * CACHELINE_BYTES
+        pending = [
+            self._submit_line(
+                value_address + i * CACHELINE_BYTES,
+                value[i * CACHELINE_BYTES:(i + 1) * CACHELINE_BYTES],
             )
+            for i in range(lines)
+        ]
+        self._fence(pending, partial(self._commit, value_address))
 
-            def committed(_value) -> None:
-                self.commits_fired += 1
+    def _commit(self, value_address: int = 0) -> None:
+        """Write the op's commit record; the next op waits for it."""
+        op = self.ops[self._index]
+        if op.kind == OP_PUT:
+            record = CommitRecord(
+                seq=op.seq,
+                op=OP_PUT,
+                key=op.key,
+                value_address=value_address,
+                value_length=len(op.value),
+                checksum=value_checksum(op.value),
+            )
+        else:
+            record = CommitRecord(
+                seq=op.seq,
+                op=OP_DEL,
+                key=op.key,
+                value_address=0,
+                value_length=0,
+                checksum=value_checksum(b""),
+            )
+        commit_done = self._submit_line(record_address(op.seq), record.encode())
 
-            commit_done.subscribe(committed)
-            # Commit records are strictly ordered: the next op's value
-            # lines may not even be submitted until this record's
-            # persist completion fires.
-            yield from self._fence([commit_done])
-        return self.commits_fired
+        def committed(_value) -> None:
+            self.commits_fired += 1
+
+        commit_done.subscribe(committed)
+        # Commit records are strictly ordered: the next op's value lines
+        # may not even be submitted until this record's persist
+        # completion fires.
+        self._fence([commit_done], self._committed)
+
+    def _committed(self) -> None:
+        self._index += 1
+        self._next_op()

@@ -1,8 +1,11 @@
 """Tests for the trace-driven core and trace utilities."""
 
+import gc
+import weakref
+
 import pytest
 
-from repro.config import ControllerKind, SimConfig
+from repro.config import ControllerKind, CoreConfig, SimConfig
 from repro.core.controller import make_controller
 from repro.cpu.core import TraceCore
 from repro.cpu.trace import (
@@ -133,6 +136,32 @@ class TestTransactions:
         core.run([(OP_WORK, 1)])
         with pytest.raises(RuntimeError):
             core.run([(OP_WORK, 1)])
+
+
+class TestLifetime:
+    @pytest.mark.parametrize("persist_model", ["epoch", "strict"])
+    def test_finished_core_is_freed_without_the_cycle_collector(
+        self, persist_model
+    ):
+        """A finished replay leaves no reference cycle through the core,
+        so its cache hierarchy is released as soon as the caller drops
+        it — sweeps run many units back to back."""
+        trace = [
+            (OP_TXBEGIN, 0), (OP_LOAD, HEAP), (OP_STORE, HEAP),
+            (OP_CLWB, HEAP), (OP_FENCE,), (OP_TXEND, 0),
+        ]
+        gc.disable()
+        try:
+            core, controller = run_core(
+                trace, ControllerKind.DOLOS,
+                core=CoreConfig(persist_model=persist_model),
+            )
+            assert controller.stats.get("core.fence_stall_cycles") > 0
+            hierarchy = weakref.ref(core.hierarchy)
+            del core
+            assert hierarchy() is None
+        finally:
+            gc.enable()
 
 
 class TestDeterminism:

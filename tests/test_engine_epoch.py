@@ -1,5 +1,6 @@
-"""Batched-core tests: epoch kernel equivalence, cancellation leak
-bounds, packed trace replay, and unit memoization."""
+"""Batched-core tests: drain-loop equivalence with a reference heap
+drain, cancellation leak bounds, packed trace replay, and unit
+memoization."""
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.config import eager_config
 from repro.cpu.trace_io import PackedTrace, trace_to_arrays
-from repro.engine import EventQueue, Simulator
+from repro.engine import EventQueue, SimulationError, Simulator
 from repro.harness.memo import (
     SEGMENT_TRANSACTIONS,
     UnitMemo,
@@ -45,28 +46,68 @@ class TestCancelledEventLeak:
 
 
 # ----------------------------------------------------------------------
-# Satellite: epoch kernel is event-for-event equivalent to the heap one
+# The kernel's one drain loop is event-for-event equivalent to a
+# one-event-at-a-time heap drain
 # ----------------------------------------------------------------------
 #: One scheduled event: (time, cancellable, action, param).  Action 0
 #: just logs; 1 spawns a nested call_after(param) from inside the
 #: callback; 2 cancels the param-th cancellable handle *at fire time*
 #: (covering cancellations that land mid-epoch, after the batch was
-#: drained from the heap).
+#: drained from the heap); 3 requests a stop.
 _EVENT_SPECS = st.lists(
     st.tuples(
         st.integers(min_value=0, max_value=6),
         st.booleans(),
-        st.integers(min_value=0, max_value=2),
+        st.integers(min_value=0, max_value=3),
         st.integers(min_value=0, max_value=5),
     ),
     min_size=1,
     max_size=30,
 )
 _PRE_CANCELS = st.sets(st.integers(min_value=0, max_value=29), max_size=8)
+#: Bounded run() calls before the final unbounded one: (until, max_events).
+_RUNS = st.lists(
+    st.tuples(
+        st.one_of(st.none(), st.integers(min_value=0, max_value=12)),
+        st.one_of(st.none(), st.integers(min_value=1, max_value=10)),
+    ),
+    max_size=4,
+)
 
 
-def _drive(epoch: bool, spec, pre_cancels):
-    sim = Simulator(epoch=epoch)
+def _reference_run(sim, until=None, max_events=None):
+    """The reference semantics: pop, fire and check one event at a time."""
+    if until is not None and until < sim.now:
+        raise SimulationError("until in the past")
+    sim._stop_requested = False
+    queue = sim._queue
+    fired = 0
+    try:
+        while True:
+            next_time = queue.peek_time()
+            if next_time is None:
+                return
+            if until is not None and next_time > until:
+                sim.now = until
+                return
+            entry = queue.pop_live()
+            sim.now = entry[0]
+            entry[2]()
+            fired += 1
+            if max_events is not None and fired >= max_events:
+                raise SimulationError("max_events")
+            if sim._stop_requested:
+                return
+    finally:
+        sim.events_fired += fired
+
+
+def _kernel_run(sim, until=None, max_events=None):
+    sim.run(until=until, max_events=max_events)
+
+
+def _drive(drain, spec, pre_cancels, runs=()):
+    sim = Simulator()
     log = []
     handles = []
 
@@ -79,6 +120,8 @@ def _drive(epoch: bool, spec, pre_cancels):
                 )
             elif action == 2 and handles:
                 handles[param % len(handles)].cancel()
+            elif action == 3:
+                sim.stop()
         return callback
 
     for index, (time, cancellable, action, param) in enumerate(spec):
@@ -90,22 +133,31 @@ def _drive(epoch: bool, spec, pre_cancels):
     for j in pre_cancels:
         if handles:
             handles[j % len(handles)].cancel()
-    sim.run()
-    return log, sim.now, sim.events_fired
+    for until, max_events in list(runs) + [(None, None)]:
+        try:
+            drain(sim, until, max_events)
+        except SimulationError:
+            log.append(("raised", sim.now))
+    queued = sorted(
+        entry[:2] for entry in sim._queue._heap
+        if len(entry) == 3 or not entry[3].cancelled
+    )
+    return log, sim.now, sim.events_fired, queued
 
 
 class TestEpochEquivalence:
-    @given(_EVENT_SPECS, _PRE_CANCELS)
-    @settings(max_examples=120, deadline=None)
-    def test_epoch_matches_heap_kernel(self, spec, pre_cancels):
-        epoch = _drive(True, spec, pre_cancels)
-        heap = _drive(False, spec, pre_cancels)
-        assert epoch[0] == heap[0]  # firing order, timestamped
-        assert epoch[1] == heap[1]  # final now
-        assert epoch[2] == heap[2]  # events_fired
+    @given(_EVENT_SPECS, _PRE_CANCELS, _RUNS)
+    @settings(max_examples=200, deadline=None)
+    def test_epoch_matches_heap_kernel(self, spec, pre_cancels, runs):
+        """Unbounded runs, ``until``, ``stop()`` and ``max_events`` all
+        agree with the reference: firing order, clock, fired count and
+        what is left queued."""
+        kernel = _drive(_kernel_run, spec, pre_cancels, runs)
+        reference = _drive(_reference_run, spec, pre_cancels, runs)
+        assert kernel == reference
 
     def test_same_cycle_ties_fire_in_schedule_order(self):
-        sim = Simulator(epoch=True)
+        sim = Simulator()
         order = []
         for i in range(10):
             sim.call_at(5, lambda i=i: order.append(i))

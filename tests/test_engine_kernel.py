@@ -13,8 +13,7 @@ class TestEventQueue:
         queue.push(10, lambda: fired.append(10))
         queue.push(20, lambda: fired.append(20))
         while len(queue):
-            event = queue.pop()
-            event.callback()
+            queue.pop_live()[2]()
         assert fired == [10, 20, 30]
 
     def test_equal_times_fire_in_schedule_order(self):
@@ -23,7 +22,7 @@ class TestEventQueue:
         for i in range(10):
             queue.push(5, lambda i=i: order.append(i))
         while len(queue):
-            queue.pop().callback()
+            queue.pop_live()[2]()
         assert order == list(range(10))
 
     def test_peek_time_skips_cancelled(self):
@@ -81,6 +80,20 @@ class TestSimulator:
         assert sim.now == 50
         sim.run()
         assert seen == ["early", "late"]
+
+    def test_run_until_in_the_past_rejected(self, sim):
+        """The clock never runs backwards: a horizon behind ``now`` is
+        misuse, not a request to rewind (a zero-delay event scheduled
+        afterwards would otherwise fire at the rewound cycle)."""
+        seen = []
+        sim.schedule(100, lambda: None)
+        sim.run(until=50)
+        with pytest.raises(SimulationError):
+            sim.run(until=20)
+        assert sim.now == 50
+        sim.schedule(0, lambda: seen.append(sim.now))
+        sim.run(until=50)
+        assert seen == [50]
 
     def test_events_at_exactly_until_still_fire(self, sim):
         seen = []

@@ -1,15 +1,7 @@
-"""Tests for generator processes, signals and waiting."""
+"""Tests for the pieces a simulated process is built from: the Signal
+completion handle and the kernel's run-now-or-defer start guard."""
 
-import pytest
-
-from repro.engine import Delay, Process, Signal, SimulationError, Simulator, WaitSignal
-from repro.engine.process import spawn
-
-
-class TestDelay:
-    def test_negative_rejected(self):
-        with pytest.raises(SimulationError):
-            Delay(-5)
+from repro.engine import Signal
 
 
 class TestSignal:
@@ -44,139 +36,38 @@ class TestSignal:
         assert seen == [1, 2]
 
 
-class TestProcess:
-    def test_simple_delays_accumulate(self, sim):
-        log = []
+class TestCallNow:
+    def test_runs_synchronously_when_the_cycle_is_idle(self, sim):
+        seen = []
+        sim.call_now(seen.append, "now")
+        assert seen == ["now"]
+        assert sim.pending_events == 0
 
-        def worker():
-            yield Delay(5)
-            log.append(sim.now)
-            yield Delay(7)
-            log.append(sim.now)
-
-        Process(sim, worker())
+    def test_defers_behind_events_pending_this_cycle(self, sim):
+        seen = []
+        sim.call_after(0, lambda: seen.append("queued"))
+        sim.call_now(seen.append, "started")
+        assert seen == []
         sim.run()
-        assert log == [5, 12]
+        assert seen == ["queued", "started"]
 
-    def test_return_value_captured(self, sim):
-        def worker():
-            yield Delay(1)
-            return "result"
-
-        process = Process(sim, worker())
+    def test_defers_behind_the_rest_of_the_current_sweep(self, sim):
+        """Events of the running cycle are out of the heap while they are
+        dispatched; a start from the first must still wait for the rest."""
+        seen = []
+        sim.call_at(5, lambda: sim.call_now(seen.append, "started"))
+        sim.call_at(5, lambda: seen.append("second"))
         sim.run()
-        assert process.finished
-        assert process.result == "result"
+        assert seen == ["second", "started"]
 
-    def test_wait_signal_receives_fired_value(self, sim):
-        signal = Signal(sim)
-        got = []
-
-        def worker():
-            value = yield WaitSignal(signal)
-            got.append((sim.now, value))
-
-        Process(sim, worker())
-        sim.schedule(30, lambda: signal.fire("payload"))
-        sim.run()
-        assert got == [(30, "payload")]
-
-    def test_wait_on_child_process(self, sim):
-        def child():
-            yield Delay(10)
-            return 99
-
-        def parent():
-            result = yield Process(sim, child())
-            return result + 1
-
-        p = Process(sim, parent())
-        sim.run()
-        assert p.result == 100
-        assert sim.now == 10
-
-    def test_wait_on_already_finished_child(self, sim):
-        def child():
-            yield Delay(1)
-            return "done"
-
-        child_proc = Process(sim, child())
-
-        def parent():
-            yield Delay(50)
-            result = yield child_proc
-            return result
-
-        p = Process(sim, parent())
-        sim.run()
-        assert p.result == "done"
-
-    def test_done_signal_fires_on_completion(self, sim):
+    def test_last_event_of_a_sweep_starts_synchronously(self, sim):
         seen = []
 
-        def worker():
-            yield Delay(3)
-            return "v"
+        def last():
+            sim.call_now(seen.append, "started")
+            seen.append("after")
 
-        p = Process(sim, worker())
-        p.done_signal.subscribe(lambda v: seen.append(v))
+        sim.call_at(5, lambda: seen.append("first"))
+        sim.call_at(5, last)
         sim.run()
-        assert seen == ["v"]
-
-    def test_start_delay(self, sim):
-        log = []
-
-        def worker():
-            log.append(sim.now)
-            yield Delay(1)
-
-        Process(sim, worker(), start_delay=25)
-        sim.run()
-        assert log == [25]
-
-    def test_unsupported_directive_raises(self, sim):
-        def worker():
-            yield "garbage"
-
-        # With an idle queue the first step runs inside the
-        # constructor, so the bad directive surfaces right there.
-        with pytest.raises(SimulationError):
-            Process(sim, worker())
-            sim.run()
-
-    def test_unsupported_directive_raises_deferred(self, sim):
-        def worker():
-            yield "garbage"
-
-        # A same-cycle event forces the first step to defer; the error
-        # then surfaces from run(), as before the synchronous-start
-        # optimization.
-        sim.schedule(0, lambda: None)
-        Process(sim, worker())
-        with pytest.raises(SimulationError):
-            sim.run()
-
-    def test_spawn_helper(self, sim):
-        def worker():
-            yield Delay(2)
-            return 5
-
-        p = spawn(sim, worker(), name="w")
-        sim.run()
-        assert p.result == 5
-
-    def test_two_processes_interleave(self, sim):
-        log = []
-
-        def worker(name, step):
-            for _ in range(3):
-                yield Delay(step)
-                log.append((name, sim.now))
-
-        Process(sim, worker("fast", 2))
-        Process(sim, worker("slow", 5))
-        sim.run()
-        assert log == [
-            ("fast", 2), ("fast", 4), ("slow", 5),
-            ("fast", 6), ("slow", 10), ("slow", 15),
-        ]
+        assert seen == ["first", "started", "after"]

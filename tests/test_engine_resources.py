@@ -1,10 +1,9 @@
-"""Tests for Resource, PipelineLane and FifoChannel."""
+"""Tests for Resource and PipelineLane."""
 
 import pytest
 
-from repro.engine import Delay, Process, Simulator
 from repro.engine.kernel import SimulationError
-from repro.engine.resources import FifoChannel, PipelineLane, Resource
+from repro.engine.resources import PipelineLane, Resource
 
 
 class TestResource:
@@ -30,14 +29,15 @@ class TestResource:
         order = []
 
         def worker(name, hold):
-            yield from res.acquire()
-            order.append((name, sim.now))
-            yield Delay(hold)
-            res.release()
+            def granted():
+                order.append((name, sim.now))
+                sim.call_after(hold, res.release)
 
-        Process(sim, worker("a", 10))
-        Process(sim, worker("b", 10))
-        Process(sim, worker("c", 10))
+            res.acquire(granted)
+
+        worker("a", 10)
+        worker("b", 10)
+        worker("c", 10)
         sim.run()
         assert order == [("a", 0), ("b", 10), ("c", 20)]
 
@@ -45,12 +45,10 @@ class TestResource:
         res = Resource(sim, 1)
 
         def worker(hold):
-            yield from res.acquire()
-            yield Delay(hold)
-            res.release()
+            res.acquire(lambda: sim.call_after(hold, res.release))
 
-        Process(sim, worker(10))
-        Process(sim, worker(1))
+        worker(10)
+        worker(1)
         sim.run()
         assert res.total_wait_cycles == 10
         assert res.total_acquisitions == 2
@@ -59,17 +57,8 @@ class TestResource:
         """A late try_acquire must not jump the FIFO queue."""
         res = Resource(sim, 1)
 
-        def holder():
-            yield from res.acquire()
-            yield Delay(10)
-            res.release()
-
-        def waiter():
-            yield from res.acquire()
-            res.release()
-
-        Process(sim, holder())
-        Process(sim, waiter())
+        res.acquire(lambda: sim.call_after(10, res.release))
+        res.acquire(res.release)
         sim.run(until=5)
         assert not res.try_acquire()
 
@@ -105,59 +94,3 @@ class TestPipelineLane:
         for _ in range(5):
             lane.book(0, 1)
         assert lane.operations == 5
-
-
-class TestFifoChannel:
-    def test_put_then_get(self, sim):
-        chan = FifoChannel(sim)
-        chan.put("x")
-        got = []
-
-        def worker():
-            item = yield from chan.get()
-            got.append(item)
-
-        Process(sim, worker())
-        sim.run()
-        assert got == ["x"]
-
-    def test_get_blocks_until_put(self, sim):
-        chan = FifoChannel(sim)
-        got = []
-
-        def worker():
-            item = yield from chan.get()
-            got.append((item, sim.now))
-
-        Process(sim, worker())
-        sim.schedule(25, lambda: chan.put("late"))
-        sim.run()
-        assert got == [("late", 25)]
-
-    def test_bounded_overflow(self, sim):
-        chan = FifoChannel(sim, capacity=1)
-        chan.put(1)
-        assert chan.is_full
-        with pytest.raises(SimulationError):
-            chan.put(2)
-
-    def test_try_get(self, sim):
-        chan = FifoChannel(sim)
-        assert chan.try_get() is None
-        chan.put(5)
-        assert chan.try_get() == 5
-
-    def test_fifo_order(self, sim):
-        chan = FifoChannel(sim)
-        for i in range(5):
-            chan.put(i)
-        got = []
-
-        def worker():
-            for _ in range(5):
-                item = yield from chan.get()
-                got.append(item)
-
-        Process(sim, worker())
-        sim.run()
-        assert got == [0, 1, 2, 3, 4]
