@@ -173,7 +173,7 @@ class Simulator:
     def _drain(self, horizon: int, budget: int) -> None:
         """The drain loop: one heap sweep per *cycle*.
 
-        An epoch holding a single event (the common case in sparse
+        A cycle holding a single event (the common case in sparse
         regions of the schedule) skips the batch list entirely.  A
         stop request or an exhausted budget puts the undelivered rest
         of the cycle back on the heap, so a later run()/step() resumes
@@ -223,7 +223,6 @@ class Simulator:
                         if fired >= budget or self._stop_requested:
                             queue.requeue(batch[i + 1:])
                             break
-                    self._batch_pending = False
                     del batch[:]
                 if fired >= budget:
                     raise SimulationError(
