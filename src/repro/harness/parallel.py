@@ -35,6 +35,7 @@ import multiprocessing
 import os
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -252,8 +253,26 @@ def _execute_indexed(item):
 
 
 def _execute_pooled(unit: RunUnit):
-    """Worker-side entry for :class:`WarmPool` submissions."""
+    """Worker-side entry for :func:`unit_pool` submissions."""
     return execute_unit(unit, _WORKER_CACHE)
+
+
+def unit_pool(jobs: int, cache_dir=TraceCache.AUTO) -> ProcessPoolExecutor:
+    """A long-lived ``jobs``-worker pool for :func:`_execute_pooled` calls.
+
+    Workers start with the same fork context and per-process trace cache
+    as :func:`run_units`' pools.  Failure handling is the caller's: a
+    worker death surfaces as ``BrokenProcessPool`` on every pending
+    call, and the broken pool accepts no more work.
+    """
+    if cache_dir is TraceCache.AUTO:
+        cache_dir = default_cache_dir()
+    return ProcessPoolExecutor(
+        max_workers=jobs,
+        mp_context=multiprocessing.get_context(_START_METHOD),
+        initializer=_init_worker,
+        initargs=(cache_dir,),
+    )
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
@@ -309,16 +328,14 @@ def _worker_backoff() -> float:
 def _worker_retry_policy() -> RetryPolicy:
     """Pool-replacement backoff as a shared :class:`RetryPolicy`.
 
-    Jitter defaults to 0 so the parallel path stays bit-deterministic;
-    ``REPRO_WORKER_RETRY_JITTER`` opts in when thundering-herd matters.
+    No jitter, so the parallel path stays bit-deterministic.
     """
-    env = os.environ.get("REPRO_WORKER_RETRY_JITTER", "").strip()
     return RetryPolicy(
         attempts=_worker_retries() + 1,
         base_delay=_worker_backoff(),
         multiplier=2.0,
         max_delay=30.0,
-        jitter=float(env) if env else 0.0,
+        jitter=0.0,
     )
 
 
@@ -504,115 +521,6 @@ def run_units(
     if failures is None and own_failures:
         report_failures(own_failures)
     return results
-
-
-# ----------------------------------------------------------------------
-# Warm pool: long-lived workers with incremental completion callbacks
-# ----------------------------------------------------------------------
-class WarmPool:
-    """A persistent worker pool that reports each unit as it finishes.
-
-    :func:`run_units` is batch-shaped: it owns a pool for one call,
-    blocks until every unit is done and returns results together —
-    right for one-shot CLI sweeps, wrong for a long-lived service that
-    admits jobs continuously and wants to stream completions.
-    ``WarmPool`` keeps the workers (and their per-process trace caches)
-    warm across submissions and invokes a caller-supplied callback for
-    every unit the moment it completes.
-
-    Callbacks run on the pool's result-handler *thread*; callers
-    bridging into asyncio must trampoline through
-    ``loop.call_soon_threadsafe``.  A unit whose worker raises is
-    reported through the callback's ``error`` slot rather than raising
-    out of the pool — the caller decides whether to retry (the
-    :mod:`repro.service` scheduler falls back to in-process execution,
-    mirroring :func:`_resilient_map`'s serial degrade).
-    """
-
-    def __init__(self, jobs: Optional[int] = None, cache_dir=TraceCache.AUTO):
-        self.jobs = resolve_jobs(jobs)
-        if cache_dir is TraceCache.AUTO:
-            cache_dir = default_cache_dir()
-        self.cache_dir = cache_dir
-        self._ctx = multiprocessing.get_context(_START_METHOD)
-        self._pool = self._ctx.Pool(
-            processes=self.jobs,
-            initializer=_init_worker,
-            initargs=(cache_dir,),
-        )
-        self._closed = False
-        #: Units handed to workers since construction.
-        self.submitted = 0
-        #: Units whose callback has fired (success or error).
-        self.completed = 0
-
-    # -- submission ------------------------------------------------------
-    def submit(
-        self,
-        unit: RunUnit,
-        on_done: Callable[[RunUnit, object, Optional[BaseException]], None],
-    ) -> None:
-        """Queue ``unit``; call ``on_done(unit, result, error)`` when done.
-
-        Exactly one of ``result``/``error`` is meaningful: ``error`` is
-        ``None`` on success.  Never blocks — the pool's internal task
-        queue is unbounded, so admission control (backpressure) belongs
-        to the caller.
-        """
-        if self._closed:
-            raise RuntimeError("WarmPool is closed")
-        self.submitted += 1
-
-        def _ok(result, _unit=unit):
-            self.completed += 1
-            on_done(_unit, result, None)
-
-        def _err(exc, _unit=unit):
-            self.completed += 1
-            on_done(_unit, None, exc)
-
-        self._pool.apply_async(
-            _execute_pooled, (unit,), callback=_ok, error_callback=_err
-        )
-
-    def submit_batch(
-        self,
-        units: Sequence[RunUnit],
-        on_done: Callable[[RunUnit, object, Optional[BaseException]], None],
-    ) -> int:
-        """Submit every unit in ``units``; returns the count submitted."""
-        for unit in units:
-            self.submit(unit, on_done)
-        return len(units)
-
-    # -- lifecycle -------------------------------------------------------
-    @property
-    def in_flight(self) -> int:
-        return self.submitted - self.completed
-
-    def close(self, wait: bool = True) -> None:
-        """Stop accepting work; optionally wait for in-flight units."""
-        if self._closed:
-            return
-        self._closed = True
-        self._pool.close()
-        if wait:
-            self._pool.join()
-
-    def terminate(self) -> None:
-        """Kill workers immediately (in-flight units are abandoned)."""
-        self._closed = True
-        self._pool.terminate()
-        self._pool.join()
-
-    def __enter__(self) -> "WarmPool":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is None:
-            self.close(wait=True)
-        else:
-            self.terminate()
 
 
 _FAN_OUT_FN = None

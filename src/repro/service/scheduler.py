@@ -1,45 +1,48 @@
-"""Job admission: dedup, batching, the warm pool, and drain.
+"""Job admission: dedup, dispatch, and drain.
 
 The scheduler is the single-writer owner of all job state; it runs on
-the server's asyncio loop, so no locks are needed — pool completion
-callbacks (which arrive on the pool's result-handler thread) are
-trampolined back onto the loop with ``call_soon_threadsafe``.
+the server's asyncio loop, so no locks are needed.
 
 Admission pipeline for one ``submit``:
 
 1. **Key** the spec (:func:`repro.service.protocol.job_key`).
-2. **Dedup** — an identical job already RUNNING/QUEUED gains a waiter
+2. **Dedup** — an identical job already admitted gains a waiter
    (``dedup="inflight"``); a key present in the persistent
    :class:`~repro.harness.trace_store.ResultStore` replays from disk
    with its payload digest re-verified (``dedup="cached"``); otherwise
    the job is new.
-3. **Batch** — new jobs buffer briefly (``batch_window`` seconds, or
-   until ``batch_max`` accumulate) so a burst of submissions dispatches
-   to the pool as one batch; the window is the service's equivalent of
-   an inference frontend's request batcher.
-4. **Execute** — batches go to a shared
-   :class:`~repro.harness.parallel.WarmPool` (``jobs >= 2``) or an
-   in-process thread (``jobs <= 1``; identical results either way,
-   both run :func:`repro.harness.parallel.execute_unit`).  A unit
-   whose worker dies is retried once in-process — the service-side
-   analogue of :func:`repro.harness.parallel._resilient_map`'s serial
-   degrade — before the job is failed.
-5. **Complete** — the result payload is digest-stamped, written to the
+3. **Dispatch** — a new job starts in the ``submit`` call that admits
+   it, as one :meth:`ExperimentScheduler._execute` task.  That
+   coroutine awaits :func:`repro.harness.parallel.execute_unit` on a
+   thread (``jobs <= 1``) or on a process pool (``jobs >= 2``; built by
+   :func:`repro.harness.parallel.unit_pool`).  Results are identical
+   either way.  A pool call that raises — a worker death included — is
+   run once more in-process and the job is marked ``degraded``; a
+   broken pool is dropped and the next job builds a fresh one.  On the
+   thread path an error fails the job.
+4. **Complete** — the result payload is digest-stamped, written to the
    result store, and every waiter's future resolves.
 
 ``drain()`` implements graceful shutdown: new submissions are refused,
-but every *accepted* job — queued, batched, or running — completes and
-reaches its waiters before drain returns.
+but every *accepted* job completes and reaches its waiters before
+drain returns.
 """
 
 from __future__ import annotations
 
 import asyncio
 import enum
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Dict, Optional, Set
 
-from repro.harness.parallel import WarmPool, execute_unit, RunUnit
+from repro.harness.parallel import (
+    RunUnit,
+    _execute_pooled,
+    execute_unit,
+    unit_pool,
+)
 from repro.harness.trace_store import (
     ResultStore,
     TraceCache,
@@ -60,7 +63,6 @@ class DrainingError(RuntimeError):
 
 
 class JobStatus(enum.Enum):
-    QUEUED = "queued"
     RUNNING = "running"
     DONE = "done"
     FAILED = "failed"
@@ -73,19 +75,16 @@ class Job:
     key: str
     spec: JobSpec
     unit: RunUnit
-    status: JobStatus = JobStatus.QUEUED
+    status: JobStatus = JobStatus.RUNNING
     payload: Optional[dict] = None
     digest: Optional[str] = None
     error: Optional[str] = None
     #: Replayed from the persistent result store (no simulation ran).
     cached: bool = False
-    #: Completed by the in-process retry after a worker death.
+    #: Completed in-process after its pool call failed.
     degraded: bool = False
-    batch_id: Optional[int] = None
     #: Resolved (with this Job) when the job reaches a terminal state.
     done: asyncio.Future = field(default_factory=asyncio.Future)
-    #: Progress callbacks: fn(job, state) — must not block.
-    watchers: List[Callable[["Job", str], None]] = field(default_factory=list)
 
     @property
     def finished(self) -> bool:
@@ -93,19 +92,15 @@ class Job:
 
 
 class ExperimentScheduler:
-    """Dedup + batching front of the simulation pool (single-loop)."""
+    """Dedup front of the simulation executor (single-loop)."""
 
     def __init__(
         self,
         jobs: int = 1,
-        batch_window: float = 0.02,
-        batch_max: int = 16,
         result_cache_dir=TraceCache.AUTO,
         events: Optional[JobEventLog] = None,
     ) -> None:
         self.jobs = max(1, jobs)
-        self.batch_window = batch_window
-        self.batch_max = max(1, batch_max)
         if result_cache_dir is TraceCache.AUTO:
             result_cache_dir = default_result_cache_dir()
         self.results = (
@@ -115,12 +110,10 @@ class ExperimentScheduler:
         )
         self.events = events if events is not None else JobEventLog()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._pool: Optional[WarmPool] = None
+        self._pool: Optional[ProcessPoolExecutor] = None
         self._thread_cache: Optional[TraceCache] = None
         self._jobs: Dict[str, Job] = {}
-        self._pending_batch: List[Job] = []
-        self._batch_timer: Optional[asyncio.TimerHandle] = None
-        self._batch_counter = 0
+        self._tasks: Set[asyncio.Task] = set()
         self._draining = False
         self._idle = asyncio.Event()
         self._idle.set()
@@ -135,10 +128,6 @@ class ExperimentScheduler:
     def _emit(self, kind: str, detail: str) -> None:
         loop = self._loop or asyncio.get_event_loop()
         self.events.event(int(loop.time() * 1e6), kind, detail)
-
-    def _notify(self, job: Job, state: str) -> None:
-        for watcher in list(job.watchers):
-            watcher(job, state)
 
     # ------------------------------------------------------------------
     async def submit(self, spec: JobSpec) -> Job:
@@ -186,76 +175,46 @@ class ExperimentScheduler:
                 return job
 
         self._idle.clear()
-        self._pending_batch.append(job)
-        if len(self._pending_batch) >= self.batch_max:
-            self._flush_batch()
-        elif self._batch_timer is None:
-            self._batch_timer = self._loop.call_later(
-                self.batch_window, self._flush_batch
-            )
+        self._emit("job.started", key)
+        task = self._loop.create_task(self._execute(job))
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
         return job
 
-    # -- batching --------------------------------------------------------
-    def _flush_batch(self) -> None:
-        if self._batch_timer is not None:
-            self._batch_timer.cancel()
-            self._batch_timer = None
-        batch, self._pending_batch = self._pending_batch, []
-        if not batch:
-            return
-        self._batch_counter += 1
-        batch_id = self._batch_counter
-        for job in batch:
-            job.batch_id = batch_id
-            self._emit("job.batched", f"{job.key}:batch{batch_id}")
-        for job in batch:
-            self._dispatch(job)
-
-    def _dispatch(self, job: Job) -> None:
-        job.status = JobStatus.RUNNING
-        self._emit("job.started", job.key)
-        self._notify(job, "running")
-        if self.jobs >= 2:
-            self._ensure_pool().submit(job.unit, self._pool_done(job))
-        else:
-            task = self._loop.create_task(self._run_inline(job))
-            task.add_done_callback(lambda _t: None)
-
-    def _ensure_pool(self) -> WarmPool:
-        if self._pool is None:
-            self._pool = WarmPool(self.jobs)
-        return self._pool
-
-    # -- completion paths ------------------------------------------------
-    def _pool_done(self, job: Job):
-        loop = self._loop
-
-        def on_done(_unit, result, error):
-            # Pool result-handler thread -> loop thread.
-            loop.call_soon_threadsafe(self._pool_landed, job, result, error)
-
-        return on_done
-
-    def _pool_landed(self, job: Job, result, error) -> None:
-        if error is None:
-            self._finish(job, result=result)
-            return
-        # Worker died: one in-process retry before failing the job.
-        task = self._loop.create_task(self._run_inline(job, degraded=True))
-        task.add_done_callback(lambda _t: None)
-
-    async def _run_inline(self, job: Job, degraded: bool = False) -> None:
-        if self._thread_cache is None:
-            self._thread_cache = TraceCache()
+    # -- execution -------------------------------------------------------
+    async def _execute(self, job: Job) -> None:
+        """Run ``job`` to a terminal state: the one execution path."""
         try:
-            result = await asyncio.to_thread(
-                execute_unit, job.unit, self._thread_cache
-            )
+            if self.jobs >= 2:
+                result = await self._run_pooled(job)
+            else:
+                result = await self._run_inline(job)
         except Exception as exc:
             self._finish(job, error=f"{type(exc).__name__}: {exc}")
             return
-        job.degraded = degraded
         self._finish(job, result=result)
+
+    async def _run_inline(self, job: Job):
+        if self._thread_cache is None:
+            self._thread_cache = TraceCache()
+        return await asyncio.to_thread(
+            execute_unit, job.unit, self._thread_cache
+        )
+
+    async def _run_pooled(self, job: Job):
+        if self._pool is None:
+            self._pool = unit_pool(self.jobs)
+        pool = self._pool
+        try:
+            return await self._loop.run_in_executor(
+                pool, _execute_pooled, job.unit
+            )
+        except Exception as exc:
+            if isinstance(exc, BrokenProcessPool) and self._pool is pool:
+                self._pool = None
+                pool.shutdown(wait=False)
+        job.degraded = True
+        return await self._run_inline(job)
 
     def _finish(
         self,
@@ -282,7 +241,6 @@ class ExperimentScheduler:
         self._emit("job.completed", f"{job.key}:{outcome}")
         if not job.done.done():
             job.done.set_result(job)
-        self._notify(job, job.status.value)
         if not any(not j.finished for j in self._jobs.values()):
             self._idle.set()
 
@@ -313,12 +271,11 @@ class ExperimentScheduler:
     async def drain(self) -> None:
         """Refuse new work, then wait until every accepted job finishes."""
         self._draining = True
-        self._flush_batch()
         await self._idle.wait()
 
     async def close(self) -> None:
         """Drain, then release the worker pool."""
         await self.drain()
         if self._pool is not None:
-            await asyncio.to_thread(self._pool.close, True)
+            await asyncio.to_thread(self._pool.shutdown, True)
             self._pool = None

@@ -34,6 +34,7 @@ import time
 from pathlib import Path
 from typing import Dict, Optional, Set
 
+from repro.harness.parallel import resolve_jobs
 from repro.harness.trace_store import TraceCache
 from repro.service import protocol
 from repro.service.protocol import JobSpec, ProtocolError
@@ -341,20 +342,15 @@ class ExperimentServer:
             }
         )
         if not job.finished:
-            # Droppable narration: running / done transitions.
-            def watch(j: Job, state: str, _s=session, _id=request_id) -> None:
-                if not _s.closed and state == "running":
-                    _s.post(
-                        {
-                            "type": "progress",
-                            "id": _id,
-                            "key": j.key,
-                            "state": state,
-                            "batch": j.batch_id,
-                        }
-                    )
-
-            job.watchers.append(watch)
+            # Droppable narration: the job is running.
+            session.post(
+                {
+                    "type": "progress",
+                    "id": request_id,
+                    "key": job.key,
+                    "state": job.status.value,
+                }
+            )
         task = asyncio.create_task(
             self._deliver_result(session, request_id, job)
         )
@@ -530,8 +526,6 @@ class ExperimentServer:
 async def _amain(args) -> int:
     scheduler = ExperimentScheduler(
         jobs=args.jobs,
-        batch_window=args.batch_window,
-        batch_max=args.batch_max,
         result_cache_dir=(
             Path(args.result_cache)
             if args.result_cache
@@ -586,11 +580,9 @@ def main(argv=None) -> int:
         "--jobs",
         type=int,
         default=1,
-        help="simulation workers (>=2 uses a warm process pool; "
+        help="simulation workers (>=2 uses a process pool; "
         "0 = all cores)",
     )
-    parser.add_argument("--batch-window", type=float, default=0.02)
-    parser.add_argument("--batch-max", type=int, default=16)
     parser.add_argument(
         "--result-cache",
         default=None,
@@ -612,10 +604,7 @@ def main(argv=None) -> int:
         "frames (default: $REPRO_FLEET_DB)",
     )
     args = parser.parse_args(argv)
-    if args.jobs <= 0:
-        import os
-
-        args.jobs = os.cpu_count() or 1
+    args.jobs = resolve_jobs(args.jobs)
     try:
         return asyncio.run(_amain(args))
     except KeyboardInterrupt:

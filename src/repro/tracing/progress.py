@@ -13,8 +13,7 @@ kind                    detail
 ``job.dedup``           ``key:{inflight|cached}`` — coalesced onto an
                         identical in-flight job / replayed from the
                         result cache
-``job.batched``         ``key:batch<id>`` — admitted into a batch
-``job.started``         ``key`` — batch dispatched to the pool
+``job.started``         ``key`` — dispatched at admission
 ``job.completed``       ``key:{ok|error|degraded}`` — terminal state
 ======================  ==============================================
 
@@ -33,7 +32,6 @@ from repro.instrumentation import Timeline
 JOB_EVENT_KINDS = (
     "job.submitted",
     "job.dedup",
-    "job.batched",
     "job.started",
     "job.completed",
 )

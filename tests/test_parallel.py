@@ -8,7 +8,6 @@ trace cache must round-trip traces exactly.
 
 import multiprocessing
 import os
-import threading
 import time
 from pathlib import Path
 
@@ -398,70 +397,3 @@ class TestDiskTraceCache:
             )
             digests.add(out.stdout.strip())
         assert len(digests) == 1
-
-
-class TestWarmPool:
-    """The service's persistent pool: streaming completions, not batches."""
-
-    def _units(self, count=3):
-        config = eager_config()
-        return [
-            RunUnit("hashmap", config, TXNS, SEED + i) for i in range(count)
-        ]
-
-    def test_streams_results_identical_to_direct_execution(self, tmp_path):
-        from repro.harness.parallel import WarmPool, execute_unit
-
-        units = self._units()
-        done = threading.Event()
-        landed = {}
-
-        def on_done(unit, result, error):
-            landed[unit.seed] = (result, error)
-            if len(landed) == len(units):
-                done.set()
-
-        with WarmPool(2, cache_dir=tmp_path / "traces") as pool:
-            assert pool.jobs == 2
-            pool.submit_batch(units, on_done)
-            assert done.wait(timeout=120)
-            assert pool.in_flight == 0
-
-        serial_cache = TraceCache(tmp_path / "serial")
-        for unit in units:
-            result, error = landed[unit.seed]
-            assert error is None
-            assert result == execute_unit(unit, serial_cache)
-
-    def test_submissions_survive_across_batches(self, tmp_path):
-        # The pool (and its workers' trace caches) stays warm between
-        # submissions — that is its whole reason to exist.
-        from repro.harness.parallel import WarmPool
-
-        done = threading.Event()
-        results = []
-
-        def on_done(_unit, result, error):
-            results.append((result, error))
-            if len(results) == 2:
-                done.set()
-
-        pool = WarmPool(2, cache_dir=tmp_path / "traces")
-        try:
-            first, second = self._units(2)
-            pool.submit(first, on_done)
-            pool.submit(second, on_done)
-            assert done.wait(timeout=120)
-            assert pool.submitted == 2
-            assert pool.completed == 2
-            assert all(error is None for _r, error in results)
-        finally:
-            pool.close(wait=True)
-
-    def test_closed_pool_refuses_submissions(self, tmp_path):
-        from repro.harness.parallel import WarmPool
-
-        pool = WarmPool(2, cache_dir=tmp_path / "traces")
-        pool.close(wait=True)
-        with pytest.raises(RuntimeError, match="closed"):
-            pool.submit(self._units(1)[0], lambda *a: None)

@@ -10,10 +10,13 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import json
+import os
+import signal
 
 import pytest
 
 from repro.config import ControllerKind, MiSUDesign
+from repro.harness import parallel
 from repro.harness.parallel import RunUnit, execute_unit
 from repro.harness.runner import RunResult
 from repro.harness.trace_store import (
@@ -254,7 +257,6 @@ def _run_async(coro, timeout: float = 60.0):
 
 def _scheduler(**kwargs) -> ExperimentScheduler:
     kwargs.setdefault("jobs", 1)
-    kwargs.setdefault("batch_window", 0.005)
     kwargs.setdefault("result_cache_dir", None)
     return ExperimentScheduler(**kwargs)
 
@@ -274,9 +276,61 @@ class TestScheduler:
         assert job.digest == proto.result_digest(job.payload)
         assert not job.cached and not job.degraded
 
+    def test_pool_execution_matches_direct_run(self, tmp_path):
+        specs = [_spec(seed=seed) for seed in (21, 22, 23)]
+
+        async def scenario():
+            scheduler = _scheduler(jobs=2)
+            jobs = [await scheduler.submit(spec) for spec in specs]
+            await asyncio.gather(*(job.done for job in jobs))
+            await scheduler.close()
+            return jobs
+
+        jobs = _run_async(scenario())
+        for spec, job in zip(specs, jobs):
+            assert job.status is JobStatus.DONE
+            assert not job.degraded
+            assert job.payload == _direct_payload(spec, tmp_path)
+
+    def test_killed_pool_worker_completes_in_process(
+        self, monkeypatch, tmp_path
+    ):
+        # The pool forks after the patch, so its worker runs the killer;
+        # the scheduler's in-process path keeps its own execute_unit.
+        def die(_unit, _cache):
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(parallel, "execute_unit", die)
+        events = JobEventLog()
+        first, second = _spec(seed=31), _spec(seed=32)
+
+        async def scenario():
+            scheduler = _scheduler(jobs=2, events=events)
+            killed = await scheduler.submit(first)
+            await killed.done
+            # The broken pool was dropped: the next job gets a fresh
+            # pool, forked after the patch is undone.
+            monkeypatch.undo()
+            fresh = await scheduler.submit(second)
+            await fresh.done
+            await scheduler.close()
+            return killed, fresh
+
+        killed, fresh = _run_async(scenario())
+        assert killed.status is JobStatus.DONE
+        assert killed.degraded
+        assert killed.payload == _direct_payload(first, tmp_path)
+        assert events.last_for(killed.key)[1:] == (
+            "job.completed",
+            f"{killed.key}:degraded",
+        )
+        assert fresh.status is JobStatus.DONE
+        assert not fresh.degraded
+        assert fresh.payload == _direct_payload(second, tmp_path)
+
     def test_inflight_duplicates_share_one_job(self):
         async def scenario():
-            scheduler = _scheduler(batch_window=0.05)
+            scheduler = _scheduler()
             first = await scheduler.submit(SPEC)
             second = await scheduler.submit(_spec(experiment_id="other"))
             await first.done
@@ -317,27 +371,6 @@ class TestScheduler:
         assert stats["dedup_cached"] == 1
         assert stats["result_store_hits"] == 1
 
-    def test_batching_groups_a_burst(self):
-        specs = [_spec(seed=seed) for seed in (10, 11, 12)]
-
-        async def scenario():
-            scheduler = _scheduler(batch_window=30.0, batch_max=2)
-            jobs = [await scheduler.submit(spec) for spec in specs]
-            # batch_max=2: the first two dispatched immediately as one
-            # batch; the third waits on the (long) window until drain
-            # force-flushes it.
-            await asyncio.gather(jobs[0].done, jobs[1].done)
-            assert jobs[2].batch_id is None
-            await scheduler.drain()
-            stats = scheduler.stats()
-            await scheduler.close()
-            return jobs, stats
-
-        jobs, stats = _run_async(scenario())
-        assert jobs[0].batch_id == jobs[1].batch_id == 1
-        assert jobs[2].batch_id == 2
-        assert stats["completed"] == 3
-
     def test_drain_refuses_new_work_but_finishes_accepted(self):
         async def scenario():
             scheduler = _scheduler()
@@ -370,12 +403,16 @@ class TestScheduler:
         counts = events.counts
         assert counts["job.submitted"] == 2
         assert counts["job.dedup"] == 1
-        assert counts["job.batched"] == 1
         assert counts["job.started"] == 1
         assert counts["job.completed"] == 1
         kinds = [kind for _time, kind, _detail in events.history(job.key)]
-        assert kinds[0] == "job.submitted"
-        assert kinds[-1] == "job.completed"
+        assert kinds == [
+            "job.submitted",
+            "job.started",
+            "job.submitted",
+            "job.dedup",
+            "job.completed",
+        ]
         assert set(counts) <= set(JOB_EVENT_KINDS)
 
 
