@@ -37,7 +37,9 @@ relevant fields of a :class:`JobSpec` exactly the way
 :meth:`repro.harness.trace_store.TraceStore.digest` keys traces:
 canonical sorted-key JSON, SHA-256, 24-hex truncation, with the trace
 ``GENERATOR_VERSION`` folded in so a workload-generator bump
-invalidates service results and disk traces in lockstep.  The client
+invalidates service results and disk traces in lockstep, and the
+:func:`~repro.harness.memo.model_fingerprint` of the simulator sources
+so a model edit invalidates every stored result.  The client
 label ``experiment_id`` is deliberately *not* hashed: two users asking
 for the same simulation under different labels share one execution.
 
@@ -57,6 +59,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional
 
 from repro.config import ADRConfig, ControllerKind, MiSUDesign, SimConfig
+from repro.harness.memo import model_fingerprint
 from repro.harness.runner import RunResult
 from repro.oracle.check import controller_matrix
 from repro.workloads import ALL_WORKLOADS, GENERATOR_VERSION, ORACLE_SEMANTICS
@@ -284,9 +287,9 @@ class JobSpec:
 def canonical_job(spec: JobSpec) -> Dict[str, object]:
     """The hash-relevant identity of ``spec`` (label excluded).
 
-    ``mode``/``fault_sites`` are folded in only for non-default modes,
-    so every pre-existing ``run`` job keeps its historical key and the
-    persistent result caches stay valid across the protocol extension.
+    ``mode``/``fault_sites`` are folded in only for non-default modes.
+    The model fingerprint covers every ``repro`` source file, so results
+    stored by other simulator code never match.
     """
     canonical = {
         "workload": spec.workload,
@@ -295,6 +298,7 @@ def canonical_job(spec: JobSpec) -> Dict[str, object]:
         "seed": spec.seed,
         "overrides": {k: spec.overrides[k] for k in sorted(spec.overrides)},
         "generator_version": GENERATOR_VERSION,
+        "model_fingerprint": model_fingerprint(),
         "protocol_version": PROTOCOL_VERSION,
     }
     if spec.mode != "run":

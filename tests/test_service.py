@@ -11,7 +11,11 @@ import asyncio
 import dataclasses
 import json
 import os
+import shutil
 import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -124,6 +128,46 @@ class TestJobKey:
         assert canonical["generator_version"] is not None
         assert canonical["protocol_version"] == proto.PROTOCOL_VERSION
         assert "experiment_id" not in canonical
+
+    def test_model_edit_changes_the_key(self, tmp_path):
+        # A result simulated by other model code must never be replayed:
+        # editing one model constant in a copy of the package moves the
+        # key, and an unedited copy keeps it.
+        source = Path(proto.__file__).resolve().parents[1]
+        trees = {}
+        for name in ("unedited", "edited"):
+            trees[name] = tmp_path / name
+            shutil.copytree(
+                source,
+                trees[name] / "repro",
+                ignore=shutil.ignore_patterns("__pycache__"),
+            )
+        config = trees["edited"] / "repro" / "config.py"
+        text = config.read_text()
+        assert "    mac_latency: int = 160\n" in text
+        config.write_text(
+            text.replace(
+                "    mac_latency: int = 160\n", "    mac_latency: int = 320\n"
+            )
+        )
+        script = (
+            "from repro.service import protocol as p; "
+            "print(p.job_key(p.JobSpec(workload='hashmap', "
+            f"design='dolos-partial', transactions={TX}, seed=1)))"
+        )
+
+        def key_in(tree: Path) -> str:
+            out = subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True,
+                text=True,
+                check=True,
+                env=dict(os.environ, PYTHONPATH=str(tree)),
+            )
+            return out.stdout.strip()
+
+        assert key_in(trees["unedited"]) == proto.job_key(SPEC)
+        assert key_in(trees["edited"]) != proto.job_key(SPEC)
 
 
 class TestResolveConfig:
