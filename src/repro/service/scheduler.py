@@ -210,9 +210,11 @@ class ExperimentScheduler:
                 pool, _execute_pooled, job.unit
             )
         except Exception as exc:
+            # A dead worker breaks the whole pool: replace it lazily.
             if isinstance(exc, BrokenProcessPool) and self._pool is pool:
                 self._pool = None
                 pool.shutdown(wait=False)
+        # Any failed pool call gets one in-process run.
         job.degraded = True
         return await self._run_inline(job)
 

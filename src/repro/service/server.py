@@ -104,6 +104,9 @@ class _ClientSession:
 
     async def drain_writer(self) -> None:
         """Sentinel-close the queue and wait for the writer to flush."""
+        # The writer stops at the sentinel: nothing posted after it is
+        # written, so a server drain must not wait on this queue.
+        self.closed = True
         await self.queue.put(None)
 
 
@@ -211,7 +214,6 @@ class ExperimentServer:
         finally:
             await session.drain_writer()
             await writer_task
-            session.closed = True
             self._sessions.discard(session)
             try:
                 writer.close()

@@ -613,6 +613,19 @@ class TestServer:
 
         _run_async(_with_server(scenario))
 
+    def test_shutdown_skips_a_session_whose_writer_is_stopping(self):
+        # A client's bye stops its writer at a sentinel; a drain that
+        # lands just then must not wait on the queue behind it (it did,
+        # for the full flush timeout).
+        async def scenario(server):
+            client = await _AsyncClient.connect(server)
+            (session,) = server._sessions
+            await session.drain_writer()
+            await asyncio.wait_for(server.shutdown(), timeout=5.0)
+            await client.close()
+
+        _run_async(_with_server(scenario))
+
     def test_shutdown_drains_accepted_jobs_then_refuses(self, caplog):
         async def scenario():
             scheduler = _scheduler()
