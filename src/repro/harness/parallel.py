@@ -35,7 +35,6 @@ import multiprocessing
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -257,21 +256,24 @@ def _execute_pooled(unit: RunUnit):
     return execute_unit(unit, _WORKER_CACHE)
 
 
-def unit_pool(jobs: int, cache_dir=TraceCache.AUTO) -> ProcessPoolExecutor:
-    """A long-lived ``jobs``-worker pool for :func:`_execute_pooled` calls.
+def unit_pool(jobs: int):
+    """A long-lived ``jobs``-worker ``ProcessPoolExecutor`` for
+    :func:`_execute_pooled` calls.
 
     Workers start with the same fork context and per-process trace cache
     as :func:`run_units`' pools.  Failure handling is the caller's: a
     worker death surfaces as ``BrokenProcessPool`` on every pending
     call, and the broken pool accepts no more work.
     """
-    if cache_dir is TraceCache.AUTO:
-        cache_dir = default_cache_dir()
+    # Imported here: concurrent.futures.process loads logging and
+    # subprocess, which the serial experiment path never needs.
+    from concurrent.futures import ProcessPoolExecutor
+
     return ProcessPoolExecutor(
         max_workers=jobs,
         mp_context=multiprocessing.get_context(_START_METHOD),
         initializer=_init_worker,
-        initargs=(cache_dir,),
+        initargs=(default_cache_dir(),),
     )
 
 
