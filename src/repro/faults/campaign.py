@@ -10,10 +10,15 @@ crash-site enumeration — then, at a handful of interior crash sites:
 2. generates a seeded :class:`~repro.faults.plan.FaultPlan` from the
    image's populated fault targets and, for each fault, recovers an
    independently-cloned corrupted image;
-3. separately re-executes to the same site with a *degraded ADR
+3. crashes a second copy of the same machine with a *degraded ADR
    budget* planted pre-crash, forcing a partial drain, and checks the
    salvage invariant: every fully-drained live slot is recovered and
    every lost slot is enumerated in ``report.slots_lost``.
+
+One execution per unit walks the sites in cycle order; both crashes at
+a site power-fail copies of its controller
+(:meth:`~repro.oracle.driver.OracleExecution.crash_copy`), so the live
+machine is never crashed and runs on to the next site.
 
 Each fault gets a :class:`FaultOutcome`:
 
@@ -47,7 +52,7 @@ from repro.oracle.golden import prefix_states
 from repro.oracle.ops import generate_ops
 from repro.oracle.reconstruct import OracleDivergence, reconstruct_state
 from repro.oracle.sites import enumerate_sites
-from repro.recovery.crash import CrashImage, crash_system
+from repro.recovery.crash import CrashImage
 from repro.recovery.errors import RecoveryError
 from repro.recovery.recover import recover_system
 from repro.wpq.adr import ADRDrain
@@ -268,23 +273,20 @@ def inject_and_classify(
 # ----------------------------------------------------------------------
 # Per-unit campaign
 # ----------------------------------------------------------------------
-def _run_to_site(config: SimConfig, ops, cycle: int) -> OracleExecution:
-    execution = OracleExecution(config, ops)
-    execution.run(until=cycle)
-    return execution
-
-
 def _degraded_drain_check(
     unit: FaultUnitReport,
     config: SimConfig,
     ops,
     states,
     site,
+    execution: OracleExecution,
     battery: bool,
     seed: int,
 ) -> None:
-    """Re-execute to ``site`` with a degraded ADR budget; check salvage."""
-    execution = _run_to_site(config, ops, site.cycle)
+    """Crash a copy of ``execution`` on a degraded ADR budget.
+
+    Then check the salvage invariant on the partial drain.
+    """
     controller = execution.controller
     drain = getattr(controller, "adr_drain", None)
     if drain is None:
@@ -294,7 +296,7 @@ def _degraded_drain_check(
         return  # nothing buffered; a degraded budget has no bite
     spec = FaultSpec("adr-degrade", aux=max(1, needed // 2))
     injector = FaultInjector(FaultPlan(seed=seed, faults=(spec,)))
-    image = crash_system(controller, battery=battery, injector=injector)
+    image = execution.crash_copy(battery=battery, injector=injector)
 
     # Pre-recovery census of the (partial) drained image: recovery must
     # salvage exactly the live records that landed and enumerate the
@@ -359,9 +361,10 @@ def run_fault_unit(
         selected = selected[1:-1]
     unit.sites_used = len(selected)
 
+    execution = OracleExecution(config, ops)
     for site in selected:
-        execution = _run_to_site(config, ops, site.cycle)
-        image = crash_system(execution.controller, battery=battery)
+        execution.run(until=site.cycle)
+        image = execution.crash_copy(battery=battery)
 
         # Baseline: the clean image must recover to the golden state,
         # otherwise fault classifications at this site mean nothing.
@@ -397,7 +400,9 @@ def run_fault_unit(
                 )
             )
 
-        _degraded_drain_check(unit, config, ops, states, site, battery, seed)
+        _degraded_drain_check(
+            unit, config, ops, states, site, execution, battery, seed
+        )
     return unit
 
 

@@ -4,8 +4,11 @@ For every (workload, controller) unit:
 
 1. run the op stream once, enumerating distinct crash sites
    (:mod:`repro.oracle.sites`);
-2. for each site, deterministically re-execute, power-fail at the
-   site's cycle, recover with
+2. step one checking execution forward through the selected sites in
+   cycle order; at each, check its machine-state hash against
+   the reference run's, power-fail a *copy* of its controller
+   (:meth:`~repro.oracle.driver.OracleExecution.crash_copy`; the live
+   execution runs on to the next site), recover with
    :func:`repro.recovery.recover.recover_system`, reconstruct the
    logical KV state from the commit log
    (:mod:`repro.oracle.reconstruct`), and diff it against the golden
@@ -40,7 +43,6 @@ from repro.oracle.golden import prefix_states, state_digest
 from repro.oracle.ops import generate_ops
 from repro.oracle.reconstruct import OracleDivergence, reconstruct_state
 from repro.oracle.sites import CrashSite, enumerate_sites, machine_state_hash
-from repro.recovery.crash import crash_system
 from repro.recovery.recover import RecoveryError, recover_system
 from repro.workloads import ORACLE_SEMANTICS
 
@@ -142,9 +144,17 @@ def check_site(
     battery: bool,
     attack: bool = False,
     inject_divergence: bool = False,
+    execution: Optional[OracleExecution] = None,
 ) -> SiteOutcome:
-    """Re-execute, crash at ``site``, recover, and diff one crash site."""
-    execution = OracleExecution(config, ops)
+    """Run to ``site``, crash a copy there, recover, and diff the state.
+
+    ``execution`` is the unit's checking stepper, left at or before
+    ``site.cycle`` by the previous call; it is advanced, never crashed,
+    so the caller can go on to a later site.  Without one a fresh
+    execution runs from cycle 0, which checks a single site on its own.
+    """
+    if execution is None:
+        execution = OracleExecution(config, ops)
     execution.run(until=site.cycle)
     if site.state_hash:
         replay_hash = machine_state_hash(execution.controller)
@@ -153,7 +163,7 @@ def check_site(
                 f"site {site.site_id}: replay diverged from reference run "
                 f"(cycle {site.cycle}: {replay_hash} != {site.state_hash})"
             )
-    image = crash_system(execution.controller, battery=battery)
+    image = execution.crash_copy(battery=battery)
 
     attack_name: Optional[str] = None
     attack_detected: Optional[bool] = None
@@ -207,9 +217,6 @@ def select_sites(sites: List[CrashSite], budget: Optional[int]) -> List[CrashSit
     return [sites[i] for i in sorted(picked)]
 
 
-#: Backwards-compatible alias (pre-campaign name).
-_select_sites = select_sites
-
 
 def check_unit(
     workload: str,
@@ -240,10 +247,17 @@ def check_unit(
     unit.final_cycle = enumeration.final_cycle
 
     selected = select_sites(enumeration.sites, site_budget)
+    # One checking execution walks the sites in cycle order; separate
+    # from enumeration's runs, so each site's hash check still compares
+    # an independent execution against the reference.
+    stepper = OracleExecution(config, ops)
     for position, site in enumerate(selected):
         attack = attack_every > 0 and position % attack_every == 0
         try:
-            outcome = check_site(config, ops, states, site, battery, attack)
+            outcome = check_site(
+                config, ops, states, site, battery, attack,
+                execution=stepper,
+            )
         except (OracleDivergence, RecoveryError, IntegrityError) as exc:
             unit.failures.append(
                 f"site {site.site_id} (cycle {site.cycle}, {site.kind}): {exc}"
@@ -267,7 +281,7 @@ def check_unit(
                 try:
                     check_site(
                         config, ops, states, site, battery,
-                        inject_divergence=True,
+                        inject_divergence=True, execution=stepper,
                     )
                 except OracleDivergence:
                     unit.injected_caught = True

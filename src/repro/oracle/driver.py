@@ -20,14 +20,19 @@ log.  ``commits_fired`` counts commit persists the driver observed
 before the crash — recovery may never lose one of those
 (``commits_fired <= n``), and may never invent commits (``n <= len(ops)``).
 
-The whole execution is deterministic: replaying the same (config, ops)
-pair and crashing at cycle ``c`` reproduces the reference run's machine
-state at ``c`` exactly.  That is what lets the site enumerator hash
-boundary states once and re-execute per site.
+The whole execution is deterministic: running the same (config, ops)
+pair to cycle ``c`` reproduces the reference run's machine state at
+``c`` exactly.  That is what lets the site enumerator hash boundary
+states once and the checker compare against them: it steps one
+execution forward through every site in cycle order and, at each,
+power-fails a *copy* of the controller
+(:meth:`OracleExecution.crash_copy`), so the live execution is never
+crashed and runs on to the next site.
 """
 
 from __future__ import annotations
 
+import copy
 from functools import partial
 from typing import Callable, List, Optional
 
@@ -45,6 +50,7 @@ from repro.persistence.commitlog import (
     value_checksum,
     value_lines,
 )
+from repro.recovery.crash import CrashImage, crash_system
 
 
 class OracleExecution:
@@ -80,6 +86,33 @@ class OracleExecution:
     def run(self, until: Optional[int] = None) -> None:
         """Advance the simulation (to quiescence if ``until`` is None)."""
         self.sim.run(until=until)
+
+    def crash_copy(self, battery: bool = False, injector=None) -> CrashImage:
+        """Power-fail a deep copy of the controller at the current cycle.
+
+        This execution is left untouched and can run on: the crash
+        (ADR drain, deferred-MAC completion, battery flush) mutates only
+        the copy, whose NVM, registers and keys the returned image owns.
+        ``battery`` and ``injector`` are passed to
+        :func:`~repro.recovery.crash.crash_system`.
+
+        The copy shares, rather than copies, what a crash never reads
+        or writes: the simulator with its event heap, the frozen config,
+        and the Ma-SU's metadata caches, which only the timing helpers
+        touch.  That halves the cost of the copy.  The copy must never
+        be run: its simulator is this execution's, and its signals'
+        waiters are closures over the live controller.  A crash touches
+        only WPQ, security-unit, NVM and register state, never the
+        clock.
+        """
+        controller = self.controller
+        shared = [self.sim, controller.config]
+        if controller.masu is not None:
+            shared += [controller.masu.counter_cache, controller.masu.mt_cache]
+        memo = {id(obj): obj for obj in shared}
+        return crash_system(
+            copy.deepcopy(controller, memo), battery=battery, injector=injector
+        )
 
     # -- op stream -----------------------------------------------------
     def _submit_line(self, address: int, payload: bytes) -> Signal:

@@ -9,7 +9,7 @@ golden model, and the workload name salts the RNG so each workload
 exercises a distinct stream.
 
 Everything is a pure function of (workload, transactions, seed):
-the reference run, every crash replay, and every worker process
+the reference run, every checking execution, and every worker process
 regenerate identical streams.
 """
 

@@ -15,10 +15,13 @@ stage, Ma-SU commit).  Sites are then deduplicated:
 * one *quiescent* site past the final cycle is appended, so the sweep
   always includes the crash-after-everything-drained case.
 
-Because the driver is deterministic, re-executing the same (config,
-ops) pair and stopping at ``site.cycle`` reproduces the hashed state
-exactly — each site is checked against a fresh execution, never against
-mutated leftovers of the reference run.
+Because the driver is deterministic, any other execution of the same
+(config, ops) pair stopped at ``site.cycle`` reproduces the hashed state
+exactly.  The checker relies on that: one checking execution, separate
+from both enumeration passes, steps through the sites in cycle order,
+and its hash at each site must equal the one recorded here.  Crashes
+hit copies of its controller, so it is never left with the mutated
+leftovers of a crash.
 """
 
 from __future__ import annotations
@@ -112,11 +115,11 @@ def enumerate_sites(config: SimConfig, ops: List[Op]) -> SiteEnumeration:
     Two passes.  Pass 1 runs with the probe attached and collects the
     cycles at which boundary events fired.  Pass 2 re-executes and
     *steps* through those cycles with ``run(until=cycle)``, hashing the
-    machine state after each stop — the exact observation a crash
-    replay makes (a boundary event's own instant can precede further
-    same-cycle mutations by other in-flight writes, so hashing inside
-    the event callback would disagree with what a crash at that cycle
-    actually sees).
+    machine state after each stop — the exact observation the checking
+    execution makes before it crashes a copy (a boundary event's own
+    instant can precede further same-cycle mutations by other in-flight
+    writes, so hashing inside the event callback would disagree with
+    what a crash at that cycle actually sees).
     """
     probe = CrashSiteProbe()
     execution = OracleExecution(config, ops, probe=probe)

@@ -18,6 +18,7 @@ import pytest
 
 from repro.config import ControllerKind
 from repro.faults import ALL_KINDS, FaultInjector, FaultPlan, FaultSpec, apply_spec
+from repro.faults import campaign
 from repro.faults.campaign import (
     DETECTED,
     SILENT,
@@ -58,29 +59,26 @@ ALWAYS_DETECTED_KINDS = {
 def _crash_at_interior_site(label, occupied_min=0, crash=True):
     """Crash the ``label`` config at an interior oracle site.
 
-    Returns ``(execution, image, ops, states)``.  With ``occupied_min``
-    set, prefers the first interior site whose live WPQ holds at least
-    that many occupied entries (partial-drain tests need real losses).
-    With ``crash=False`` the machine is left running (``image`` is
-    ``None``) so the caller can crash it with an injector attached — a
-    drain is one-shot, so the helper must not consume it first.
+    Returns ``(execution, image, ops, states)``.  One execution walks
+    the interior sites forward and stops at the first whose live WPQ
+    holds at least ``occupied_min`` occupied entries (partial-drain
+    tests need real losses), or at the last one.  The image comes from
+    :meth:`OracleExecution.crash_copy`, so the returned execution is
+    still running; with ``crash=False`` no image is made (``image`` is
+    ``None``) and the caller crashes it with an injector attached.
     """
     config = MATRIX[label]
     ops = generate_ops(WORKLOAD, TXNS, SEED)
     states = prefix_states(ORACLE_SEMANTICS[WORKLOAD], ops)
     battery = config.controller is ControllerKind.EADR_SECURE
     sites = select_sites(enumerate_sites(config, ops).sites, 8)[1:-1]
-    chosen = None
+    execution = OracleExecution(config, ops)
     for site in sites:
-        execution = OracleExecution(config, ops)
         execution.run(until=site.cycle)
-        occupied = sum(1 for e in execution.controller.wpq.entries if e.occupied)
-        if chosen is None or occupied >= occupied_min:
-            chosen = execution
-        if occupied >= occupied_min:
+        if execution.controller.wpq.occupancy >= occupied_min:
             break
-    image = crash_system(chosen.controller, battery=battery) if crash else None
-    return chosen, image, ops, states
+    image = execution.crash_copy(battery=battery) if crash else None
+    return execution, image, ops, states
 
 
 @pytest.fixture(scope="module")
@@ -325,6 +323,31 @@ class TestCampaignDriver:
         assert payload["passed"] is True
         assert payload["totals"]["silent"] == 0
         assert len(payload["units"]) == 2
+
+    @pytest.mark.parametrize("label", sorted(MATRIX))
+    def test_unit_matches_fresh_execution_per_crash(self, label, monkeypatch):
+        """Crashing copies of one stepping execution classifies every
+        fault exactly as crashing a fresh execution per crash does."""
+
+        class FreshPerCrash(OracleExecution):
+            def run(self, until=None):
+                self.until = until
+                super().run(until)
+
+            def crash_copy(self, battery=False, injector=None):
+                fresh = OracleExecution(self.config, self.ops)
+                fresh.run(until=self.until)
+                return crash_system(
+                    fresh.controller, battery=battery, injector=injector
+                )
+
+        stepped = run_fault_unit(WORKLOAD, label, MATRIX[label], 8, SEED)
+        monkeypatch.setattr(campaign, "OracleExecution", FreshPerCrash)
+        reference = run_fault_unit(WORKLOAD, label, MATRIX[label], 8, SEED)
+        assert stepped.sites_used == reference.sites_used > 0
+        assert stepped.failures == reference.failures == []
+        assert stepped.outcomes == reference.outcomes
+        assert stepped.outcomes
 
     def test_unknown_controller_rejected(self):
         with pytest.raises(KeyError):

@@ -23,7 +23,9 @@ from repro.oracle import (
     prefix_states,
     run_oracle,
 )
-from repro.oracle.check import _select_sites, main as check_main
+from repro.oracle import check as oracle_check
+from repro.oracle.check import main as check_main, select_sites
+from repro.oracle.driver import OracleExecution
 from repro.persistence.commitlog import (
     OP_DEL,
     OP_PUT,
@@ -114,11 +116,107 @@ class TestSiteEnumeration:
         cfg = controller_matrix()["dolos-partial"]
         ops = generate_ops("hashmap", 6, 0)
         enum = enumerate_sites(cfg, ops)
-        picked = _select_sites(enum.sites, 5)
+        picked = select_sites(enum.sites, 5)
         assert len(picked) == 5
         assert picked[0] is enum.sites[0]
         assert picked[-1] is enum.sites[-1]
-        assert _select_sites(enum.sites, None) == enum.sites
+        assert select_sites(enum.sites, None) == enum.sites
+
+
+def _walk_to_interior_site(label, ops):
+    """Step one execution to the first interior site worth crashing.
+
+    Interior sites hold a non-empty live WPQ; on ``dolos-post`` the site
+    must also carry a deferred MAC still pending, so the ADR crash runs
+    ``misu.protect`` on the copy.
+    """
+    config = controller_matrix()[label]
+    sites = enumerate_sites(config, ops).sites[1:-1]
+    execution = OracleExecution(config, ops)
+    for site in sites:
+        execution.run(until=site.cycle)
+        wpq = execution.controller.wpq
+        if label == "dolos-post":
+            if any(e.occupied and e.mac_pending and e.request is not None
+                   for e in wpq.entries):
+                return execution
+        elif wpq.occupancy:
+            return execution
+    raise AssertionError(f"{label}: no interior site fits")
+
+
+class TestCrashCopy:
+    """``OracleExecution.crash_copy`` crashes a copy, never the live run."""
+
+    @pytest.mark.parametrize("label", sorted(controller_matrix()))
+    def test_live_execution_untouched(self, label):
+        config = controller_matrix()[label]
+        battery = config.controller is ControllerKind.EADR_SECURE
+        ops = generate_ops("hashmap", 8, 0)
+        live = _walk_to_interior_site(label, ops)
+
+        def observe():
+            return (
+                machine_state_hash(live.controller),
+                live.commits_fired,
+                live.sim.now,
+                live.controller.wpq.occupancy,
+            )
+
+        before = observe()
+        image = live.crash_copy(battery=battery)
+        assert observe() == before
+        assert image.nvm is not live.controller.nvm
+        assert image.keys is not live.controller.keys
+
+        live.run()
+        never_crashed = OracleExecution(config, ops)
+        never_crashed.run()
+        assert live.finished
+        assert (machine_state_hash(live.controller), live.sim.now) == (
+            machine_state_hash(never_crashed.controller),
+            never_crashed.sim.now,
+        )
+
+    @pytest.mark.parametrize("label", sorted(controller_matrix()))
+    def test_stepper_sweep_matches_fresh_execution_per_site(
+        self, label, monkeypatch,
+    ):
+        """check_unit's single stepper yields exactly the outcomes of a
+        fresh execution from cycle 0 per site."""
+        config = controller_matrix()[label]
+        original = oracle_check.check_site
+        calls = []
+
+        def recording(*args, execution=None, **kwargs):
+            try:
+                result = original(*args, execution=execution, **kwargs)
+            except OracleDivergence as exc:
+                calls.append((args, kwargs, execution, repr(exc)))
+                raise
+            calls.append((args, kwargs, execution, result))
+            return result
+
+        monkeypatch.setattr(oracle_check, "check_site", recording)
+        unit = check_unit(
+            "hashmap", label, config, 8, site_budget=6, attack_every=2,
+            inject_divergence=True,
+        )
+        monkeypatch.undo()
+        assert unit.passed, unit.failures
+        assert unit.sites_checked == 6 and unit.injected_caught is True
+        # Six sites plus the self-test re-check, all on one stepper.
+        assert len(calls) == 7
+        stepper = calls[0][2]
+        assert stepper is not None
+        assert all(execution is stepper for _, _, execution, _ in calls)
+
+        for args, kwargs, _, stepped in calls:
+            try:
+                fresh = original(*args, execution=None, **kwargs)
+            except OracleDivergence as exc:
+                fresh = repr(exc)
+            assert stepped == fresh
 
 
 class TestOracleMatrix:
