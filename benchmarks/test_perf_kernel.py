@@ -14,7 +14,8 @@ Four measurements seed the repo's performance trajectory:
   harness fans out;
 * **run-unit seconds, batched replay** — the same unit replayed from a
   pre-packed column trace (what sweeps actually execute once the trace
-  cache is warm), isolating simulation cost from trace generation.
+  cache is warm), isolating resolve-plus-replay cost from trace
+  generation.
 
 Run modes:
 
@@ -113,9 +114,11 @@ def bench_run_unit_seconds() -> float:
 def bench_run_unit_seconds_batched() -> float:
     """Wall-clock of one run unit replayed from packed columns.
 
-    The trace is generated and packed outside the timed region — this
-    is the steady-state cost of a sweep unit once the trace cache is
-    warm, with trace generation amortised away.
+    The trace is generated and packed outside the timed region, with
+    trace generation amortised away.  Each call packs a fresh
+    :class:`PackedTrace`, so its resolved core side is never warm: the
+    number is resolve plus replay, one unit's share of a sweep that
+    replays each trace against a single design.
     """
     config = eager_config()
     packed = PackedTrace.from_trace(

@@ -18,6 +18,7 @@ from repro import ControllerKind, SimConfig
 from repro.config import ADRConfig
 from repro.core.controller import make_controller
 from repro.cpu.core import TraceCore
+from repro.cpu.trace_io import PackedTrace
 from repro.engine import Simulator
 from repro.instrumentation import Timeline
 from repro.workloads import generate_trace
@@ -37,7 +38,9 @@ def run_with_timeline(config, trace):
 
 
 def main() -> None:
-    trace = generate_trace("hashmap", TRANSACTIONS, 1024, seed=1)
+    trace = PackedTrace.from_trace(
+        generate_trace("hashmap", TRANSACTIONS, 1024, seed=1)
+    )
     configs = {
         "Pre-WPQ-Secure baseline (16 entries)": SimConfig().with_(
             controller=ControllerKind.PRE_WPQ_SECURE

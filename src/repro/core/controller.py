@@ -34,6 +34,8 @@ The core-facing protocol:
   PERSIST write is architecturally persisted (EVICTION writes return
   ``None`` and are handled in the background).
 * ``read(address)`` returns a Signal fired with the read latency.
+* ``fill(address)`` is a store-miss fill: the same read, with no
+  completion anyone waits on.
 """
 
 from __future__ import annotations
@@ -170,6 +172,17 @@ class MemoryController:
         sim.call_now(self._read_start, ReadRequest(address, sim.now), done)
         return done
 
+    def fill(self, address: int) -> None:
+        """Store-miss fill (write-allocate): a read nobody waits on.
+
+        It takes the same path as :meth:`read` — WPQ lookup, NVM
+        booking, Ma-SU metadata touch — but allocates no completion
+        handle and schedules no completion event.
+        """
+        self.reads_received += 1
+        self.stats.add("controller.reads")
+        self.sim.call_now(self._fill_start, address & ~0x3F)
+
     def crash(self):
         """Power failure: delegate to the persistence-domain policy."""
         return self._domain.crash()
@@ -237,6 +250,20 @@ class MemoryController:
 
     def _read_fire(self, request: ReadRequest, done: Signal) -> None:
         done.fire(self.sim.now - request.arrival)
+
+    def _fill_start(self, address: int) -> None:
+        """Serve a fill: the read stages without the completion."""
+        sim = self.sim
+        if self.wpq.lookup(address) is not None:
+            self.wpq.read_hits += 1
+            return
+        finish = self.nvm.timed_access(sim.now, address, False)
+        if self.masu is not None:
+            sim.call_after(finish - sim.now, partial(self._fill_verify, address))
+
+    def _fill_verify(self, address: int) -> None:
+        """The verification's metadata-cache traffic; its latency is moot."""
+        self.masu.read_verify_latency(self.sim.now, address)
 
     def _wpq_read_hit_latency(self) -> int:
         """Serving a read from the WPQ: tag lookup + XOR decrypt."""

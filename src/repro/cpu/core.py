@@ -1,9 +1,13 @@
 """The trace-driven core.
 
-The core walks a trace in a plain loop, batching pure-latency work
-(compute, cache hits) into one delay and interacting with the event
-queue only where concurrency matters: LLC-miss reads, persist
-submissions, and fences.
+The core replays a trace's resolved, memory-facing stream
+(:mod:`repro.cpu.resolve`): the cache hierarchy, the work/IPC
+arithmetic and which ops miss, evict or flush dirty do not depend on
+the memory controller design, so a :class:`~repro.cpu.trace_io.PackedTrace`
+resolves them once per hierarchy and every design replays the result.
+What is left for the core is the part that does depend on the design:
+handing fills, evictions and persists to the controller at the right
+cycle, waiting on demand reads, and stalling on fences.
 
 Persist semantics (the crux of the paper):
 
@@ -18,41 +22,35 @@ Persist semantics (the crux of the paper):
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 from repro.config import SimConfig
 from repro.core.controller import MemoryController
 from repro.core.requests import WriteKind, WriteRequest
+from repro.cpu.resolve import DELAY, DEMAND, EVICT, FILL, PERSIST
 from repro.cpu.trace import (
     ARRIVAL_CYCLE_MASK,
     ARRIVAL_TENANT_SHIFT,
-    OP_ARRIVAL,
-    OP_CLWB,
     OP_FENCE,
-    OP_LOAD,
-    OP_STORE,
     OP_TXBEGIN,
     OP_TXEND,
-    OP_WORK,
 )
+from repro.cpu.trace_io import PackedTrace
 from repro.engine import Signal, Simulator
-from repro.mem.hierarchy import CacheHierarchy
 from repro.stats import StatsRegistry
 
 
 class TraceCore:
-    """Replays one trace against a memory controller.
+    """Replays one trace's resolved stream against a memory controller.
 
-    Replay is a plain loop over the op iterator (:meth:`_replay`).
-    Non-blocking ops run inline and their latency accumulates in one
-    batched delay.  The loop parks, handing the kernel a bound-method
-    continuation, only when simulated time must pass or the core must
-    wait: a nonzero batched delay before an op that interacts with the
-    rest of the system, a demand miss, a fence (or a strict-mode clwb)
-    while persists are outstanding, and a future arrival stamp.  The
-    batched delay is always flushed before the loop parks, so only the
-    op being finished and the transaction/arrival/fence-stall state
-    outlive a park, as attributes.
+    Replay is a plain loop over the resolved ops (:meth:`_replay`).
+    Fills and evictions go to the controller inline.  The loop parks,
+    handing the kernel a bound-method continuation, only when simulated
+    time must pass or the core must wait: a ``DELAY``, a demand read, a
+    fence (or a strict-mode persist) while persists are outstanding,
+    and a future arrival stamp.  Only the transaction/arrival/stall
+    state and the pending demand's writebacks outlive a park, as
+    attributes.
     """
 
     def __init__(
@@ -66,24 +64,22 @@ class TraceCore:
         self.config = config
         self.controller = controller
         self.stats = stats if stats is not None else StatsRegistry()
-        self.hierarchy = CacheHierarchy(config)
         self.instructions = 0
         self.cycles = 0
         self.finished = False
         self._outstanding_persists = 0
         self._fence_signal = Signal(sim, "core.fence")
-        self._work_carry = 0.0
         self._strict = config.core.persist_model == "strict"
         #: Optional instrumentation (span tracing): when attached, the
         #: core logs one ``core.fence_stall`` event per fence wake-up.
         #: The hot path pays a single ``None`` check otherwise.
         self.timeline = None
+        # -- the resolved trace (set by run) ------------------------------
+        self._ops: Optional[Iterator[Tuple[int, int]]] = None
+        self._demands: list = []
+        self._flush_latency = 0
+        self._trace_instructions = 0
         # -- replay state that outlives a park ----------------------------
-        self._ops: Optional[Iterator[Tuple]] = None
-        #: The op whose post-delay half runs when the loop resumes.
-        self._op: Tuple = ()
-        #: Operand of that op: the missed address, or the flushed line.
-        self._operand = 0
         #: Dirty victims of a demand miss, written back once it returns.
         self._writebacks: Tuple = ()
         self._tx_start = 0
@@ -97,98 +93,57 @@ class TraceCore:
         #: Whether the current stall is an OP_FENCE (counted once it ends).
         #: A flag rather than a stored continuation: a bound method kept
         #: on the core is a reference cycle, which would keep every
-        #: finished core and its cache hierarchy alive until the cyclic
-        #: collector happens to run.
+        #: finished core alive until the cyclic collector happens to run.
         self._stall_is_fence = False
 
     # ------------------------------------------------------------------
-    def run(self, trace: Iterable[Tuple]) -> None:
+    def run(self, trace: PackedTrace) -> None:
         """Start replaying ``trace`` at the current cycle."""
         if self._ops is not None:
             raise RuntimeError("core already running a trace")
-        self._ops = iter(trace)
+        if not isinstance(trace, PackedTrace):
+            raise TypeError(
+                "TraceCore.run takes a PackedTrace "
+                "(pack op lists with PackedTrace.from_trace)"
+            )
+        resolved = trace.resolved(self.config)
+        self._ops = zip(resolved.codes, resolved.operands)
+        self._demands = resolved.demands
+        self._flush_latency = resolved.flush_latency
+        self._trace_instructions = resolved.instructions
         self.sim.call_now(self._replay)
 
     def _replay(self) -> None:
         """Run ops inline until one must wait; every wake-up re-enters."""
-        hierarchy_access = self.hierarchy.access
+        fill = self.controller.fill
         stats_add = self.stats.add
-        ipc = self.config.core.ipc
-        acc = 0  # batched latency not yet handed to the kernel
-        for op in self._ops:
-            code = op[0]
-            if code == OP_WORK:
-                n = op[1]
-                self.instructions += n
-                cost = n / ipc + self._work_carry
-                whole = int(cost)
-                self._work_carry = cost - whole
-                acc += whole
-                continue
-            if code == OP_LOAD or code == OP_STORE:
-                self.instructions += 1
-                result = hierarchy_access(op[1], code == OP_STORE)
-                acc += result.latency
-                if result.needs_memory:
-                    if code == OP_STORE:
-                        # Write-allocate fill: the store retires through
-                        # the store buffer; the fill proceeds in the
-                        # background (OoO cores hide store misses).
-                        self.controller.read(op[1])
-                        stats_add("core.store_miss_fills")
-                    else:
-                        # Demand load: the core (its dependent work)
-                        # waits for the memory + verification round trip.
-                        self._operand = op[1]
-                        self._writebacks = result.writebacks
-                        if acc:
-                            self._park(acc, op)
-                        else:
-                            self._demand_read()
-                        return
-                for victim in result.writebacks:
-                    self._submit_eviction(victim)
-                continue
-            if code == OP_CLWB:
-                self.instructions += 1
-                acc += 1  # issue slot
-                line = self.hierarchy.clwb(op[1])
-                if line is None:
-                    continue
-                self._operand = line
-            elif code == OP_FENCE:
-                self.instructions += 1
-            elif code not in (OP_TXBEGIN, OP_TXEND, OP_ARRIVAL):
-                raise ValueError(f"unknown trace op {op!r}")
-            # Every remaining op first hands the batched delay over.
-            if acc:
-                self._park(acc, op)
+        for code, operand in self._ops:
+            if code == DELAY:
+                self.sim.call_after(operand, self._replay)
                 return
-            if self._finish_op(op):
+            if code == FILL:
+                # Write-allocate fill: the store retires through the
+                # store buffer; the fill proceeds in the background
+                # (OoO cores hide store misses).
+                fill(operand)
+                stats_add("core.store_miss_fills")
+            elif code == EVICT:
+                self._submit_eviction(operand)
+            elif code == DEMAND:
+                # Demand load: the core (its dependent work) waits for
+                # the memory + verification round trip.
+                address, self._writebacks = self._demands[operand]
+                self.controller.read(address).subscribe(self._read_returned)
                 return
-        if acc:
-            self.sim.call_after(acc, self._finish)
-            return
+            elif self._finish_op(code, operand):
+                return
         self._finish()
 
-    def _park(self, delay: int, op: Tuple) -> None:
-        """Let ``delay`` cycles pass, then finish ``op`` and resume."""
-        self._op = op
-        self.sim.call_after(delay, self._resume)
-
-    def _resume(self) -> None:
-        op = self._op
-        if op[0] == OP_LOAD:
-            self._demand_read()
-        elif not self._finish_op(op):
-            self._replay()
-
-    def _finish_op(self, op: Tuple) -> bool:
-        """The part of ``op`` after its batched delay; True if it parked."""
+    def _finish_op(self, code: int, operand: int) -> bool:
+        """Run a persist, fence, transaction or arrival op; True if it parked."""
         sim = self.sim
-        code = op[0]
-        if code == OP_CLWB:
-            self._launch_persist(self._operand)
+        if code == PERSIST:
+            self._launch_persist(operand)
             if self._strict and self._outstanding_persists > 0:
                 # Strict persistency: the flush itself blocks until the
                 # write is in the persistence domain.
@@ -208,7 +163,6 @@ class TraceCore:
             # the core is ahead of the arrival clock it idles (open-loop
             # underload); if behind, the transaction has queued and its
             # wait shows up in the sojourn.
-            operand = op[1]
             self._pending_tenant = operand >> ARRIVAL_TENANT_SHIFT
             self._pending_arrival = arrival = operand & ARRIVAL_CYCLE_MASK
             self.stats.add("core.arrivals")
@@ -217,9 +171,6 @@ class TraceCore:
                 return True
             self.stats.add("core.arrivals_queued")
         return False
-
-    def _demand_read(self) -> None:
-        self.controller.read(self._operand).subscribe(self._read_returned)
 
     def _read_returned(self, _latency: object) -> None:
         self.stats.add("core.memory_reads")
@@ -273,6 +224,7 @@ class TraceCore:
             self._fence_signal.subscribe(self._finish)
             return
         self.cycles = self.sim.now
+        self.instructions = self._trace_instructions
         self.finished = True
         self.stats.set("core.cycles", self.cycles)
         self.stats.set("core.instructions", self.instructions)
@@ -286,14 +238,13 @@ class TraceCore:
         # tracer treats as the start of the persist critical path.
         request = WriteRequest(address, WriteKind.PERSIST)
         request.issue_cycle = self.sim.now
-        traversal = self.hierarchy.flush_latency()
 
         def submit() -> None:
             done = self.controller.submit_write(request)
             assert done is not None
             done.subscribe(self._persist_complete)
 
-        self.sim.call_after(traversal, submit)
+        self.sim.call_after(self._flush_latency, submit)
 
     def _persist_complete(self, _value: object = None) -> None:
         self._outstanding_persists -= 1

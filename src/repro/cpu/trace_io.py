@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Hashable, List, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.cpu.resolve import ResolvedTrace, resolve, resolve_key
 from repro.cpu.trace import OP_FENCE
 
 FORMAT_VERSION = 1
@@ -27,27 +28,25 @@ def trace_to_arrays(trace) -> "Tuple[np.ndarray, np.ndarray]":
     """
     if isinstance(trace, PackedTrace):
         return trace.codes, trace.operands
-    codes = np.empty(len(trace), dtype=np.int64)
-    operands = np.zeros(len(trace), dtype=np.int64)
-    for i, op in enumerate(trace):
-        codes[i] = op[0]
-        if len(op) > 1:
-            operands[i] = op[1]
+    codes = np.array([op[0] for op in trace], dtype=np.int64)
+    operands = np.array(
+        [op[1] if len(op) > 1 else 0 for op in trace], dtype=np.int64
+    )
     return codes, operands
 
 
 class PackedTrace:
-    """A column-packed op stream the core can replay directly.
+    """A column-packed op stream: the one format the core replays.
 
-    Holds the two int64 columns of :func:`trace_to_arrays` and hands
-    the replay loop a C-level ``zip`` over plain Python ints — no
-    per-op tuple list is ever materialised on the replay path (loading
-    a cached trace used to rebuild the whole list through a Python
-    loop with a per-op length check).  ``__iter__`` provides the
-    classic tuple stream for code that still wants it.
+    Holds the two int64 columns of :func:`trace_to_arrays`.  The core
+    does not walk them itself: it replays the trace's resolved,
+    memory-facing stream (:meth:`resolved`), which the trace builds
+    once per cache hierarchy and IPC and then shares with every design
+    it is replayed against.  ``__iter__`` provides the classic tuple
+    stream for code that still wants it.
     """
 
-    __slots__ = ("codes", "operands", "_columns")
+    __slots__ = ("codes", "operands", "_columns", "_resolved")
 
     def __init__(self, codes: "np.ndarray", operands: "np.ndarray") -> None:
         if len(codes) != len(operands):
@@ -58,8 +57,10 @@ class PackedTrace:
         self.codes = codes
         self.operands = operands
         #: Lazily-built (codes, operands) Python-int lists; ``tolist``
-        #: is one C call and the lists are reused across replays.
+        #: is one C call and the lists are reused across iterations.
         self._columns: Optional[Tuple[list, list]] = None
+        #: Resolved streams by :func:`repro.cpu.resolve.resolve_key`.
+        self._resolved: Dict[Hashable, ResolvedTrace] = {}
 
     @classmethod
     def from_trace(cls, trace) -> "PackedTrace":
@@ -77,10 +78,20 @@ class PackedTrace:
             )
         return columns
 
-    def pairs(self):
-        """Iterator of ``(code, operand)`` pairs for the replay loop."""
-        codes, operands = self.columns()
-        return zip(codes, operands)
+    def resolved(self, config) -> ResolvedTrace:
+        """The core side of this trace under ``config``'s hierarchy and
+        IPC, resolved on first use and memoized by
+        :func:`~repro.cpu.resolve.resolve_key`."""
+        key = resolve_key(config)
+        stream = self._resolved.get(key)
+        if stream is None:
+            # Resolving reads each column once: build the Python-int
+            # lists for it without caching them on the trace.
+            columns = self._columns or (
+                self.codes.tolist(), self.operands.tolist()
+            )
+            stream = self._resolved[key] = resolve(columns, config)
+        return stream
 
     def to_trace(self) -> List[Tuple]:
         """Materialise the classic tuple-list form."""
@@ -90,7 +101,7 @@ class PackedTrace:
         return len(self.codes)
 
     def __iter__(self):
-        for code, operand in self.pairs():
+        for code, operand in zip(*self.columns()):
             if code == OP_FENCE:
                 yield (code,)
             else:

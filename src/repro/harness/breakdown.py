@@ -60,21 +60,24 @@ def breakdown_of(result: RunResult, read_stall_cycles: int) -> CycleBreakdown:
 
 def run_with_breakdown(
     config: SimConfig,
-    trace: List[Tuple],
+    trace,
     workload: str = "trace",
     transactions: int = 0,
     timeline=None,
 ) -> Tuple[RunResult, CycleBreakdown]:
     """Run one trace and return (result, cycle breakdown).
 
-    Read-stall cycles are measured directly by wrapping the core's
-    blocking-read waits; everything else reuses the standard runner.
+    ``trace`` is a :class:`~repro.cpu.trace_io.PackedTrace` or a list of
+    op tuples.  Read-stall cycles are the summed round trips of the
+    demand reads, the only reads the core waits on (store-miss fills
+    go through ``controller.fill`` and are not timed).
     An optional ``timeline`` (e.g. :class:`repro.tracing.SpanTracer`)
     is attached to both the controller and the core, so span tracing
     and the breakdown come from the same run.
     """
     from repro.core.controller import make_controller
     from repro.cpu.core import TraceCore
+    from repro.cpu.trace_io import PackedTrace
     from repro.engine import Simulator
     from repro.stats import StatsRegistry
 
@@ -86,24 +89,21 @@ def run_with_breakdown(
         controller.attach_timeline(timeline)
         core.timeline = timeline
 
-    # Measure blocking-read stall time by timestamping read round trips.
-    read_stall = {"cycles": 0}
+    # A demand read's signal fires with its round trip, the cycles the
+    # core waited on it.
+    read_stall = [0]
     original_read = controller.read
 
+    def add_stall(latency: int) -> None:
+        read_stall[0] += latency
+
     def timed_read(address: int):
-        issued = sim.now
         signal = original_read(address)
-        original_fire = signal.fire
-
-        def fire(value=None):
-            read_stall["cycles"] += sim.now - issued
-            original_fire(value)
-
-        signal.fire = fire
+        signal.subscribe(add_stall)
         return signal
 
     controller.read = timed_read
-    core.run(trace)
+    core.run(PackedTrace.from_trace(trace))
     sim.run()
     if not core.finished:
         raise RuntimeError("simulation deadlocked")
@@ -119,16 +119,7 @@ def run_with_breakdown(
         instructions=core.instructions,
         stats=merged,
     )
-    # Only loads block; store-miss fills ride in the background.  The
-    # wrapper above timestamps every read, so subtract the background
-    # share by scaling with the blocking fraction.
-    reads = merged.get("controller.reads", 0)
-    blocking = merged.get("core.memory_reads", 0)
-    if reads:
-        blocking_stall = read_stall["cycles"] * blocking // max(1, reads)
-    else:
-        blocking_stall = 0
-    return result, breakdown_of(result, blocking_stall)
+    return result, breakdown_of(result, read_stall[0])
 
 
 def render_breakdowns(rows: List[Tuple[str, CycleBreakdown]], title: str) -> str:

@@ -93,14 +93,15 @@ def _unit_memo():
 def execute_unit(unit: RunUnit, cache: TraceCache):
     """Simulate one unit, resolving its trace through ``cache``.
 
-    Plain runs are replayed from the packed trace columns through the
-    content-addressed unit memo — a unit whose op stream, config and
-    simulator sources all match an earlier run is not resimulated.
-    Breakdown runs bypass both layers: their instrumented results
-    carry per-span state the memo does not capture.
+    Plain runs replay the cached packed trace, whose resolved core side
+    every design shares, through the content-addressed unit memo — a
+    unit whose op stream, config and simulator sources all match an
+    earlier run is not resimulated.  Breakdown runs replay the same
+    packed trace but bypass the memo: their instrumented results carry
+    per-span state the memo does not capture.
     """
     if unit.mode == "breakdown":
-        trace = cache.get(
+        trace = cache.get_packed(
             unit.workload, unit.transactions, unit.config.transaction_size,
             unit.seed,
         )

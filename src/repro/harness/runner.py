@@ -59,16 +59,16 @@ def run_trace(
 ) -> RunResult:
     """Replay one prebuilt trace under ``config``; returns the result.
 
-    ``trace`` is either the classic list of op tuples or a
-    :class:`repro.cpu.trace_io.PackedTrace`, whose columns are replayed
-    directly (no per-op tuple list is rebuilt — the batched path every
-    cache hit and every sweep repeat takes).
+    ``trace`` is a :class:`repro.cpu.trace_io.PackedTrace` or a list of
+    op tuples, which is packed first.  Pass the packed trace itself to
+    share its resolved core side with every other design it is
+    replayed against (the path every trace-cache hit takes).
     """
     sim = Simulator()
     stats = StatsRegistry()
     controller = make_controller(sim, config, stats)
     core = TraceCore(sim, config, controller, stats)
-    core.run(trace.pairs() if isinstance(trace, PackedTrace) else trace)
+    core.run(PackedTrace.from_trace(trace))
     sim.run()
     if not core.finished:
         raise RuntimeError(

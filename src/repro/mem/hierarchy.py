@@ -14,6 +14,11 @@ Persist *completion* (what ``sfence`` waits on) is owned by the memory
 controller — the hierarchy only reports when the writeback *leaves* the
 LLC for the controller.
 
+Nothing here depends on the controller design, so a simulation does not
+own a hierarchy: :func:`repro.cpu.resolve.resolve` walks a trace
+through a private one once per (geometry, latencies, IPC), and every
+design replays the resulting memory-facing stream.
+
 Hot path: when all three levels share one line size (every shipped
 config) the access/fill/victim-cascade sequence runs on the caches'
 set dictionaries directly — one line-number computation and no

@@ -22,6 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.attacks.traffic import scan_tenants
 from repro.cpu.trace import OP_ARRIVAL, pack_arrival
+from repro.cpu.trace_io import PackedTrace
 from repro.harness.runner import RunResult, run_trace
 from repro.scenarios.tenants import (
     TenantSpec,
@@ -151,29 +152,15 @@ def _stamped_trace(
 
 def sweep_config(
     config,
-    blocks: List[List[Tuple]],
-    spec: TenantSpec,
+    traces: Sequence[PackedTrace],
     rates: Sequence[float],
-    seed: int,
     workload_name: str,
     transactions: int,
 ) -> List[Dict[str, object]]:
-    """Replay one config across the rate grid (trace built once)."""
+    """Replay one config across the rate grid, one stamped trace per rate."""
     points: List[Dict[str, object]] = []
-    for rate in rates:
-        process = TenantSpec(
-            spec.workload,
-            rate,
-            skew=spec.skew,
-            arrivals=spec.arrivals,
-            burst=spec.burst,
-            dwell=spec.dwell,
-        ).process()
-        arrivals = process.sample(len(blocks), seed)
-        result = run_trace(
-            config, _stamped_trace(blocks, arrivals),
-            workload_name, transactions,
-        )
+    for rate, trace in zip(rates, traces):
+        result = run_trace(config, trace, workload_name, transactions)
         stats = result.stats
         completed_per_kcycle = (
             1000.0 * transactions / result.cycles if result.cycles else 0.0
@@ -230,7 +217,20 @@ def loadcurve_report(
             spec, 0, transactions, seed=seed
         )
     ]
-    closed_trace = [op for block in base_blocks for op in block]
+    # Packed once and shared by every config, so each trace's core side
+    # is resolved once.
+    closed_trace = PackedTrace.from_trace(
+        [op for block in base_blocks for op in block]
+    )
+    sweep_traces = [
+        PackedTrace.from_trace(_stamped_trace(
+            base_blocks,
+            TenantSpec(workload, rate, skew=skew).process().sample(
+                len(base_blocks), seed
+            ),
+        ))
+        for rate in rates
+    ]
 
     report: Dict[str, object] = {
         "workload": workload,
@@ -244,7 +244,7 @@ def loadcurve_report(
     for label in labels:
         config = matrix[label]
         points = sweep_config(
-            config, base_blocks, spec, rates, seed, workload, transactions
+            config, sweep_traces, rates, workload, transactions
         )
         p99s = [point["p99"] for point in points]
         knee = knee_rate(rates, p99s, knee_factor)

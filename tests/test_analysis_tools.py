@@ -3,6 +3,7 @@
 import pytest
 
 from repro.config import ControllerKind, SimConfig
+from repro.core.controller import MemoryController
 from repro.cpu.trace import OP_CLWB, OP_FENCE, OP_LOAD, OP_STORE, OP_WORK
 from repro.cpu.trace_io import load_trace, save_trace, trace_to_arrays
 from repro.harness.breakdown import (
@@ -44,6 +45,32 @@ class TestCycleBreakdown:
         )
         _, dolos = run_with_breakdown(SimConfig(), trace, "ctree", 25)
         assert dolos.fraction("fence_stall") < base.fraction("fence_stall")
+
+    @pytest.mark.parametrize(
+        "kind", [ControllerKind.DOLOS, ControllerKind.NON_SECURE_IDEAL]
+    )
+    def test_read_stall_is_the_summed_demand_round_trips(self, kind, monkeypatch):
+        """Exact, not scaled: store-miss fills never enter the stall."""
+        trips = []
+        original = MemoryController.read
+
+        def observed_read(self, address):
+            signal = original(self, address)
+            signal.subscribe(trips.append)
+            return signal
+
+        monkeypatch.setattr(MemoryController, "read", observed_read)
+        trace = [(OP_STORE, HEAP + 0x40 * i) for i in range(12)]
+        trace += [(OP_WORK, 40), (OP_LOAD, HEAP + 0x100000)]
+        trace += [(OP_CLWB, HEAP), (OP_FENCE,), (OP_LOAD, HEAP + 0x40)]
+        trace += [(OP_LOAD, HEAP + 0x200000), (OP_STORE, HEAP + 0x300000)]
+        result, breakdown = run_with_breakdown(
+            SimConfig().with_(controller=kind), trace, "t", 1
+        )
+        assert result.stats["core.store_miss_fills"] == 13
+        assert result.stats["controller.reads"] == 15
+        assert len(trips) == result.stats["core.memory_reads"] == 2
+        assert breakdown.read_stall == sum(trips) > 0
 
     def test_render(self):
         breakdown = CycleBreakdown(100, 40, 10)

@@ -6,7 +6,7 @@ import weakref
 import pytest
 
 from repro.config import ControllerKind, CoreConfig, SimConfig
-from repro.core.controller import make_controller
+from repro.core.controller import MemoryController, make_controller
 from repro.cpu.core import TraceCore
 from repro.cpu.trace import (
     OP_CLWB,
@@ -18,6 +18,7 @@ from repro.cpu.trace import (
     OP_WORK,
     summarize,
 )
+from repro.cpu.trace_io import PackedTrace
 from repro.engine import Simulator
 
 HEAP = 0x1_0000_0000
@@ -28,7 +29,7 @@ def run_core(trace, kind=ControllerKind.NON_SECURE_IDEAL, **changes):
     sim = Simulator()
     controller = make_controller(sim, config)
     core = TraceCore(sim, config, controller, controller.stats)
-    core.run(trace)
+    core.run(PackedTrace.from_trace(trace))
     sim.run()
     assert core.finished
     return core, controller
@@ -133,8 +134,15 @@ class TestTransactions:
         sim = Simulator()
         controller = make_controller(sim, config)
         core = TraceCore(sim, config, controller)
-        core.run([(OP_WORK, 1)])
+        core.run(PackedTrace.from_trace([(OP_WORK, 1)]))
         with pytest.raises(RuntimeError):
+            core.run(PackedTrace.from_trace([(OP_WORK, 1)]))
+
+    def test_tuple_list_rejected(self):
+        config = SimConfig()
+        sim = Simulator()
+        core = TraceCore(sim, config, make_controller(sim, config))
+        with pytest.raises(TypeError):
             core.run([(OP_WORK, 1)])
 
 
@@ -144,22 +152,35 @@ class TestLifetime:
         self, persist_model
     ):
         """A finished replay leaves no reference cycle through the core,
-        so its cache hierarchy is released as soon as the caller drops
-        it — sweeps run many units back to back."""
-        trace = [
+        so it is released as soon as the caller drops it — sweeps run
+        many units back to back — and the resolved stream memoized on
+        the trace keeps nothing of the run alive."""
+        packed = PackedTrace.from_trace([
             (OP_TXBEGIN, 0), (OP_LOAD, HEAP), (OP_STORE, HEAP),
             (OP_CLWB, HEAP), (OP_FENCE,), (OP_TXEND, 0),
-        ]
+        ])
         gc.disable()
         try:
             core, controller = run_core(
-                trace, ControllerKind.DOLOS,
+                packed, ControllerKind.DOLOS,
                 core=CoreConfig(persist_model=persist_model),
             )
             assert controller.stats.get("core.fence_stall_cycles") > 0
-            hierarchy = weakref.ref(core.hierarchy)
+            finished = weakref.ref(core)
             del core
-            assert hierarchy() is None
+            assert finished() is None
+            assert packed._resolved
+            run_types = (Simulator, MemoryController, TraceCore)
+            seen = set()
+            pending = [packed]
+            while pending:
+                obj = pending.pop()
+                if id(obj) in seen:
+                    continue
+                seen.add(id(obj))
+                assert not isinstance(obj, run_types), obj
+                if not isinstance(obj, type):  # classes are shared code
+                    pending.extend(gc.get_referents(obj))
         finally:
             gc.enable()
 

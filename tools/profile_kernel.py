@@ -2,7 +2,9 @@
 
 Runs the same quantum the perf bench times (hashmap,
 ``RUN_TRANSACTIONS`` transactions, Dolos eager config) with the trace
-generated and packed *outside* the profiled region, prints the top-20
+generated and packed *outside* the profiled region.  The packed trace
+is fresh, so the profile covers resolving its core side as well as the
+replay.  Prints the top-20
 functions by cumulative time, and writes the full ranking to a JSON
 artifact so CI can archive per-commit hotspot snapshots next to
 ``BENCH_kernel.json``.
