@@ -1,4 +1,4 @@
-"""CI perf-regression gate for the run-unit path (legacy + batched).
+"""CI perf-regression gate for the run-unit path (cold + batched).
 
 Re-measures the run-unit benchmarks (best of three each, to shave
 scheduler noise) and compares them against the committed baseline in
@@ -8,10 +8,12 @@ regresses by more than the threshold (default 15%, overridable via
 
 Two paths gate independently:
 
-* ``run_unit_seconds`` — the legacy tuple-trace unit (trace gen +
-  simulation), the quantum every experiment fans out;
-* ``run_unit_seconds_batched`` — the packed-column replay the sweeps
-  execute once the trace cache is warm.
+* ``run_unit_seconds`` — one cold run unit end to end: trace
+  generation, then packing the trace, resolving its design-independent
+  core side and replaying it (no trace cache, no unit memo);
+* ``run_unit_seconds_batched`` — the same unit with trace generation
+  and packing outside the timed region: resolve plus replay, the share
+  of a sweep that runs once the trace cache is warm.
 
 A baseline written before a key existed skips that gate with a notice
 instead of failing — old baselines stay valid across bench additions.

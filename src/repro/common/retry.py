@@ -1,12 +1,12 @@
 """The one retry policy: exponential backoff with jitter, plus breakers.
 
-Before this module, three subsystems each grew an ad-hoc retry scheme:
-the parallel harness slept ``backoff * 2**attempt`` between pool
-replacements, the service client had none (a dropped connection
-surfaced as a raw ``socket.error``), and the fleet dispatcher's only
-recovery was requeueing a dead worker's units.  All three now share
-:class:`RetryPolicy`, so backoff shape, jitter, and attempt accounting
-are defined — and tested — once.
+Before this module, the service client had no retry scheme (a dropped
+connection surfaced as a raw ``socket.error``) and the fleet
+dispatcher's only recovery was requeueing a dead worker's units.  Both
+now share :class:`RetryPolicy`, so backoff shape, jitter, and attempt
+accounting are defined — and tested — once.  (The process-pool sweeps
+do not retry with backoff: a failed pool call reruns once in-process;
+see :func:`repro.harness.parallel.fan_out`.)
 
 Design points:
 

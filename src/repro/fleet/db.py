@@ -271,8 +271,8 @@ class FleetDB:
 
         Returns ``"inserted"`` for a first record and ``"duplicate"``
         when the row already existed with an identical payload digest
-        (re-dispatch / straggler clone / work stealing race — the
-        duplicate is *counted*, never double-recorded).  Raises
+        (a re-dispatch or work-stealing race — the duplicate is
+        *counted*, never double-recorded).  Raises
         :class:`UnitDigestMismatch` when the digests differ.
         """
         digest = payload_digest(payload)

@@ -4,9 +4,8 @@ The dispatcher's original failure model was *fail-stop*: a worker that
 died took a connection error with it, and the unit ledger requeued its
 claims.  That model misses the nastier half of real fleet failures —
 workers that *hang* (SIGSTOP, livelock, a wedged trace generation)
-hold their claims forever while the straggler cloner burns survivors
-re-running them, and workers that crash-loop burn the campaign's time
-dying over and over.
+hold their claims forever, so the campaign never drains, and workers
+that crash-loop burn the campaign's time dying over and over.
 
 This module adds the missing supervision plane, deliberately separate
 from the data plane:

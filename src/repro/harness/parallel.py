@@ -13,7 +13,7 @@ per-experiment orchestration code:
    :class:`RecordingExecutor` installed.  Each ``_run`` call yields a
    cheap placeholder result while its :class:`RunUnit` is recorded (in
    first-request order, deduplicated).  No simulation happens.
-2. **Execute** — run the recorded units over a ``multiprocessing`` pool
+2. **Execute** — run the recorded units over a process pool
    (:func:`run_units`); workers share the persistent disk trace cache,
    so each trace is generated at most once across the whole sweep.
 3. **Replay** — run the experiment function again with a
@@ -27,6 +27,12 @@ passes — true for the paper's sweeps, whose unit set is a static
 (workload × config) product.  If control flow ever diverges, the replay
 executor falls back to simulating the missing unit serially, trading
 speed for correctness.
+
+:func:`fan_out` is the one pool path behind every ``--jobs`` sweep
+(experiments, ``check``, ``faults``, inline fleet campaigns), and
+:func:`unit_pool` builds the same pool for ``serve --jobs N``.  Both
+share one failure policy: a failed pool call — a dead worker included
+— runs once more in-process and is recorded as degraded.
 """
 
 from __future__ import annotations
@@ -34,12 +40,10 @@ from __future__ import annotations
 import multiprocessing
 import os
 import sys
-import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.common.retry import RetryPolicy
 from repro.config import SimConfig
 from repro.harness.breakdown import CycleBreakdown, run_with_breakdown
 from repro.harness.runner import RunResult, run_trace
@@ -75,6 +79,9 @@ class RunUnit:
     #: Arrival-process descriptor as sorted key/value pairs
     #: (``"scenario"`` mode only; tuple form keeps the unit hashable).
     scenario: Tuple = ()
+
+    def __str__(self) -> str:
+        return f"{self.workload} x{self.transactions} {self.mode}"
 
 
 #: Per-process unit memo (lazily constructed; see repro.harness.memo).
@@ -237,34 +244,27 @@ def executor_scope(executor):
 
 
 # ----------------------------------------------------------------------
-# Process-pool execution
+# Process-pool execution: one pool type, one failure policy
 # ----------------------------------------------------------------------
-_WORKER_CACHE: Optional[TraceCache] = None
+_POOL_FN: Optional[Callable] = None
 
 
-def _init_worker(cache_dir) -> None:
-    global _WORKER_CACHE
-    _WORKER_CACHE = TraceCache(cache_dir)
+def _init_pool_worker(fn) -> None:
+    global _POOL_FN
+    _POOL_FN = fn
 
 
-def _execute_indexed(item):
-    index, unit = item
-    return index, execute_unit(unit, _WORKER_CACHE)
+def _execute_pooled(item):
+    """Worker-side entry for every pool submission: the installed ``fn``."""
+    return _POOL_FN(item)
 
 
-def _execute_pooled(unit: RunUnit):
-    """Worker-side entry for :func:`unit_pool` submissions."""
-    return execute_unit(unit, _WORKER_CACHE)
+def _process_pool(jobs: int, fn: Callable):
+    """A ``jobs``-worker ``ProcessPoolExecutor`` whose workers run ``fn``.
 
-
-def unit_pool(jobs: int):
-    """A long-lived ``jobs``-worker ``ProcessPoolExecutor`` for
-    :func:`_execute_pooled` calls.
-
-    Workers start with the same fork context and per-process trace cache
-    as :func:`run_units`' pools.  Failure handling is the caller's: a
-    worker death surfaces as ``BrokenProcessPool`` on every pending
-    call, and the broken pool accepts no more work.
+    Submit :func:`_execute_pooled` with each item.  The initializer
+    installs ``fn`` in every worker, so under fork ``fn`` is inherited,
+    never pickled.
     """
     # Imported here: concurrent.futures.process loads logging and
     # subprocess, which the serial experiment path never needs.
@@ -273,9 +273,38 @@ def unit_pool(jobs: int):
     return ProcessPoolExecutor(
         max_workers=jobs,
         mp_context=multiprocessing.get_context(_START_METHOD),
-        initializer=_init_worker,
-        initargs=(default_cache_dir(),),
+        initializer=_init_pool_worker,
+        initargs=(fn,),
     )
+
+
+class _UnitRunner:
+    """:func:`execute_unit` over one lazily built :class:`TraceCache`.
+
+    Installed in a pool, each worker process builds its own cache on
+    its first unit; called in-process, the cache lives as long as the
+    runner.
+    """
+
+    def __init__(self, cache_dir) -> None:
+        self.cache_dir = cache_dir
+        self.cache: Optional[TraceCache] = None
+
+    def __call__(self, unit: RunUnit):
+        if self.cache is None:
+            self.cache = TraceCache(self.cache_dir)
+        return execute_unit(unit, self.cache)
+
+
+def unit_pool(jobs: int):
+    """A long-lived ``jobs``-worker pool that runs :class:`RunUnit`
+    submissions of :func:`_execute_pooled`, as :func:`run_units` does.
+
+    Failure handling is the caller's: a worker death surfaces as
+    ``BrokenProcessPool`` on every pending call, and the broken pool
+    accepts no more work.
+    """
+    return _process_pool(jobs, _UnitRunner(default_cache_dir()))
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
@@ -292,171 +321,20 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     return jobs
 
 
-# ----------------------------------------------------------------------
-# Worker resilience
-# ----------------------------------------------------------------------
 @dataclass
 class WorkerFailure:
-    """One unit's trip through the retry machinery."""
+    """One item whose pool call failed."""
 
     index: int
     label: str
-    attempts: int
+    #: The pool call's error (``BrokenProcessPool`` for a dead worker).
     error: str
-    #: ``"retried"`` (a later pool attempt succeeded), ``"serial"``
-    #: (completed by the in-process fallback), or ``"failed"``.
+    #: ``"degraded"`` (the in-process rerun succeeded) or ``"failed"``.
     resolution: str
 
 
 class ParallelExecutionError(RuntimeError):
-    """A unit failed even in the serial fallback."""
-
-
-def _worker_timeout() -> Optional[float]:
-    """Per-unit wall-clock limit (seconds); None (default) = unbounded."""
-    env = os.environ.get("REPRO_WORKER_TIMEOUT", "").strip()
-    return float(env) if env else None
-
-
-def _worker_retries() -> int:
-    env = os.environ.get("REPRO_WORKER_RETRIES", "").strip()
-    return int(env) if env else 2
-
-
-def _worker_backoff() -> float:
-    env = os.environ.get("REPRO_WORKER_BACKOFF", "").strip()
-    return float(env) if env else 0.05
-
-
-def _worker_retry_policy() -> RetryPolicy:
-    """Pool-replacement backoff as a shared :class:`RetryPolicy`.
-
-    No jitter, so the parallel path stays bit-deterministic.
-    """
-    return RetryPolicy(
-        attempts=_worker_retries() + 1,
-        base_delay=_worker_backoff(),
-        multiplier=2.0,
-        max_delay=30.0,
-        jitter=0.0,
-    )
-
-
-def _resilient_map(
-    worker: Callable,
-    initializer: Optional[Callable],
-    initargs: tuple,
-    items: List,
-    jobs: int,
-    serial_fn: Callable,
-    label_fn: Callable[[object], str],
-    failures: Optional[List[WorkerFailure]] = None,
-    on_result: Optional[Callable[[int, object, object], None]] = None,
-) -> List:
-    """Pool-map ``worker`` over indexed ``items`` with retry + fallback.
-
-    ``worker`` receives ``(index, item)`` and returns ``(index,
-    payload)``.  A unit whose worker raises or exceeds
-    ``REPRO_WORKER_TIMEOUT`` is retried on a *fresh* pool (up to
-    ``REPRO_WORKER_RETRIES`` times, with exponential backoff); a unit
-    that keeps failing is completed in-process by ``serial_fn`` so one
-    bad worker cannot kill the sweep.  Hung workers die with their
-    pool (context exit terminates).  Raises
-    :class:`ParallelExecutionError` only when the serial fallback
-    fails too.
-
-    ``on_result(index, item, payload)`` streams each unit's completion
-    the moment it lands (at most once per unit).  The callback is
-    carried by this function, not by any one pool, so it keeps firing
-    for units completed on a retry-replacement pool and for units the
-    serial fallback finishes — a fleet recording results incrementally
-    must not lose the units that needed a second pool.
-    """
-    timeout = _worker_timeout()
-    policy = _worker_retry_policy()
-    results: List = [None] * len(items)
-    history: Dict[int, List[str]] = {}
-    pending: List[Tuple[int, object]] = list(enumerate(items))
-    ctx = multiprocessing.get_context(_START_METHOD)
-
-    for attempt in range(policy.attempts):
-        if not pending:
-            break
-        if attempt:
-            time.sleep(policy.delay(attempt - 1))
-        still_failing: List[Tuple[int, object]] = []
-        with ctx.Pool(
-            processes=min(jobs, len(pending)),
-            initializer=initializer,
-            initargs=initargs,
-        ) as pool:
-            handles = [
-                (index, item, pool.apply_async(worker, ((index, item),)))
-                for index, item in pending
-            ]
-            for index, item, handle in handles:
-                try:
-                    got_index, payload = handle.get(timeout)
-                except multiprocessing.TimeoutError:
-                    history.setdefault(index, []).append(
-                        f"timed out after {timeout}s"
-                    )
-                    still_failing.append((index, item))
-                except Exception as exc:
-                    history.setdefault(index, []).append(
-                        f"{type(exc).__name__}: {exc}"
-                    )
-                    still_failing.append((index, item))
-                else:
-                    results[got_index] = payload
-                    if on_result is not None:
-                        on_result(got_index, item, payload)
-                    if got_index in history and failures is not None:
-                        failures.append(
-                            WorkerFailure(
-                                index=got_index,
-                                label=label_fn(item),
-                                attempts=len(history[got_index]) + 1,
-                                error=history[got_index][-1],
-                                resolution="retried",
-                            )
-                        )
-            # Context exit terminates the pool, reaping hung workers.
-        pending = still_failing
-
-    for index, item in pending:
-        errors = history.get(index, [])
-        try:
-            results[index] = serial_fn(item)
-            if on_result is not None:
-                on_result(index, item, results[index])
-        except Exception as exc:
-            if failures is not None:
-                failures.append(
-                    WorkerFailure(
-                        index=index,
-                        label=label_fn(item),
-                        attempts=len(errors) + 1,
-                        error=f"{type(exc).__name__}: {exc}",
-                        resolution="failed",
-                    )
-                )
-            raise ParallelExecutionError(
-                f"unit {index} ({label_fn(item)}) failed after "
-                f"{len(errors)} pool attempt(s) ({'; '.join(errors)}) "
-                f"and the serial fallback: {type(exc).__name__}: {exc}"
-            ) from exc
-        if failures is not None:
-            failures.append(
-                WorkerFailure(
-                    index=index,
-                    label=label_fn(item),
-                    attempts=len(errors) + 1,
-                    error=errors[-1] if errors else "",
-                    resolution="serial",
-                )
-            )
-    return results
+    """An item failed in the pool and again in-process."""
 
 
 def report_failures(failures: List[WorkerFailure]) -> None:
@@ -464,79 +342,28 @@ def report_failures(failures: List[WorkerFailure]) -> None:
     for failure in failures:
         print(
             f"[parallel] unit {failure.index} ({failure.label}): "
-            f"{failure.resolution} after {failure.attempts} attempt(s)"
-            + (f" — last error: {failure.error}" if failure.error else ""),
+            f"{failure.resolution} after pool error: {failure.error}",
             file=sys.stderr,
         )
 
 
-def run_units(
-    units: Sequence[RunUnit],
-    jobs: int,
-    cache_dir=TraceCache.AUTO,
-    failures: Optional[List[WorkerFailure]] = None,
-    on_result: Optional[Callable[[int, RunUnit, object], None]] = None,
-) -> List:
-    """Execute ``units`` on ``jobs`` workers; results in input order.
-
-    ``jobs <= 1`` runs serially in-process (no pool, easier debugging);
-    either way the returned list lines up index-for-index with
-    ``units``.  Crashed or hung workers are retried and finally
-    degraded to in-process execution (see :func:`_resilient_map`); pass
-    ``failures`` to collect the per-unit summary (it is also printed to
-    stderr when the caller does not collect it).  ``on_result(index,
-    unit, result)`` streams each completion as it lands, surviving
-    retry-triggered pool replacement and the serial fallback.
-    """
-    units = list(units)
-    if cache_dir is TraceCache.AUTO:
-        cache_dir = default_cache_dir()
-    if jobs <= 1 or len(units) <= 1:
-        cache = TraceCache(cache_dir)
-        results = []
-        for index, unit in enumerate(units):
-            result = execute_unit(unit, cache)
-            results.append(result)
-            if on_result is not None:
-                on_result(index, unit, result)
-        return results
-    jobs = min(jobs, len(units))
-
-    serial_cache: List[Optional[TraceCache]] = [None]
-
-    def serial_fn(unit: RunUnit):
-        if serial_cache[0] is None:
-            serial_cache[0] = TraceCache(cache_dir)
-        return execute_unit(unit, serial_cache[0])
-
-    own_failures: List[WorkerFailure] = [] if failures is None else failures
-    results = _resilient_map(
-        _execute_indexed,
-        _init_worker,
-        (cache_dir,),
-        units,
-        jobs,
-        serial_fn,
-        lambda unit: f"{unit.workload} x{unit.transactions} {unit.mode}",
-        own_failures,
-        on_result=on_result,
-    )
-    if failures is None and own_failures:
-        report_failures(own_failures)
-    return results
-
-
-_FAN_OUT_FN = None
-
-
-def _init_fan_out(fn) -> None:
-    global _FAN_OUT_FN
-    _FAN_OUT_FN = fn
-
-
-def _fan_out_indexed(item):
-    index, value = item
-    return index, _FAN_OUT_FN(value)
+def _settle(future, fn, index: int, item, failures: List[WorkerFailure]):
+    """``future``'s result; a failed pool call runs once in-process."""
+    try:
+        return future.result()
+    except Exception as exc:
+        pool_error = f"{type(exc).__name__}: {exc}"
+    label = str(item)[:80]
+    try:
+        result = fn(item)
+    except Exception as exc:
+        failures.append(WorkerFailure(index, label, pool_error, "failed"))
+        raise ParallelExecutionError(
+            f"unit {index} ({label}) failed in the pool ({pool_error}) "
+            f"and again in-process: {type(exc).__name__}: {exc}"
+        ) from exc
+    failures.append(WorkerFailure(index, label, pool_error, "degraded"))
+    return result
 
 
 def fan_out(
@@ -548,44 +375,64 @@ def fan_out(
 ) -> List:
     """Map ``fn`` over ``items`` on ``jobs`` worker processes.
 
-    The generic sibling of :func:`run_units` for work that is not a
-    :class:`RunUnit` (e.g. the crash-oracle's per-controller sweeps).
-    ``fn`` and each item must be picklable under the fork start method;
-    results line up index-for-index with ``items``.  ``jobs <= 1`` runs
-    serially in-process.  Failing or hung workers are retried then
-    degraded to in-process execution, exactly as in :func:`run_units`.
+    Results line up index-for-index with ``items``, and
+    ``on_result(index, item, result)`` fires exactly once per item, in
+    index order, as each result lands.  ``jobs <= 1`` (or a single
+    item) runs serially in-process, where an error propagates as is.
 
-    ``on_result(index, item, result)`` is the streaming per-item
-    completion callback.  It is registered with the retry machinery
-    itself rather than with the first pool, so when a crashed worker
-    forces the pool to be replaced, the callback is re-registered on
-    the fresh pool and still fires exactly once per item.
+    The pool path has the service scheduler's failure policy: an item
+    whose pool call raises — a dead worker's ``BrokenProcessPool``
+    included — runs once more in-process and is recorded as a
+    ``"degraded"`` :class:`WorkerFailure`, so results stay
+    bit-identical to a serial run.  :class:`ParallelExecutionError` is
+    raised only when the in-process run fails too.  Pass ``failures``
+    to collect the records; otherwise they are printed to stderr.
+    There is no timeout: a hung worker holds the sweep.  Items (and,
+    without fork, ``fn``) must be picklable.
     """
     items = list(items)
-    if jobs <= 1 or len(items) <= 1:
+    own_failures: List[WorkerFailure] = [] if failures is None else failures
+    pool = None
+    if jobs > 1 and len(items) > 1:
+        pool = _process_pool(min(jobs, len(items)), fn)
+    try:
+        futures = (
+            [pool.submit(_execute_pooled, item) for item in items]
+            if pool is not None
+            else []
+        )
         results = []
         for index, item in enumerate(items):
-            result = fn(item)
+            if pool is None:
+                result = fn(item)
+            else:
+                result = _settle(futures[index], fn, index, item, own_failures)
             results.append(result)
             if on_result is not None:
                 on_result(index, item, result)
-        return results
-    jobs = min(jobs, len(items))
-    own_failures: List[WorkerFailure] = [] if failures is None else failures
-    results = _resilient_map(
-        _fan_out_indexed,
-        _init_fan_out,
-        (fn,),
-        items,
-        jobs,
-        fn,
-        lambda item: repr(item)[:80],
-        own_failures,
-        on_result=on_result,
-    )
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     if failures is None and own_failures:
         report_failures(own_failures)
     return results
+
+
+def run_units(
+    units: Sequence[RunUnit],
+    jobs: int,
+    cache_dir=TraceCache.AUTO,
+    failures: Optional[List[WorkerFailure]] = None,
+    on_result: Optional[Callable[[int, RunUnit, object], None]] = None,
+) -> List:
+    """:func:`fan_out` of :func:`execute_unit` over ``units``.
+
+    Each process resolves traces through its own :class:`TraceCache`
+    on ``cache_dir``, which every worker shares on disk.
+    """
+    if cache_dir is TraceCache.AUTO:
+        cache_dir = default_cache_dir()
+    return fan_out(_UnitRunner(cache_dir), units, jobs, failures, on_result)
 
 
 def run_experiment_parallel(

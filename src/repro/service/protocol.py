@@ -60,6 +60,7 @@ from typing import Dict, Mapping, Optional
 
 from repro.config import ADRConfig, ControllerKind, MiSUDesign, SimConfig
 from repro.harness.memo import model_fingerprint
+from repro.harness.parallel import RunUnit
 from repro.harness.runner import RunResult
 from repro.oracle.check import controller_matrix
 from repro.workloads import ALL_WORKLOADS, GENERATOR_VERSION, ORACLE_SEMANTICS
@@ -336,6 +337,23 @@ def resolve_config(spec: JobSpec) -> SimConfig:
     if changes:
         config = config.with_(**changes)
     return config
+
+
+def spec_to_run_unit(spec: JobSpec) -> RunUnit:
+    """The in-process :class:`RunUnit` a job executes."""
+    return RunUnit(
+        spec.workload,
+        resolve_config(spec),
+        spec.transactions,
+        spec.seed,
+        mode=spec.mode,
+        fault_sites=spec.fault_sites if spec.mode == "faults" else 0,
+        scenario=(
+            tuple(sorted(dict(spec.scenario).items()))
+            if spec.mode == "scenario"
+            else ()
+        ),
+    )
 
 
 # ----------------------------------------------------------------------

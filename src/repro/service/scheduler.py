@@ -15,11 +15,13 @@ Admission pipeline for one ``submit``:
    it, as one :meth:`ExperimentScheduler._execute` task.  That
    coroutine awaits :func:`repro.harness.parallel.execute_unit` on a
    thread (``jobs <= 1``) or on a process pool (``jobs >= 2``; built by
-   :func:`repro.harness.parallel.unit_pool`).  Results are identical
-   either way.  A pool call that raises — a worker death included — is
-   run once more in-process and the job is marked ``degraded``; a
-   broken pool is dropped and the next job builds a fresh one.  On the
-   thread path an error fails the job.
+   :func:`repro.harness.parallel.unit_pool`, the pool every ``--jobs``
+   sweep uses).  Results are identical either way.  The pool path has
+   the sweeps' failure policy (:func:`repro.harness.parallel.fan_out`):
+   a pool call that raises — a worker death included — is run once
+   more in-process and the job is marked ``degraded``.  A broken pool
+   is dropped and the next job builds a fresh one.  On the thread path
+   an error fails the job.
 4. **Complete** — the result payload is digest-stamped, written to the
    result store, and every waiter's future resolves.
 
@@ -51,9 +53,9 @@ from repro.harness.trace_store import (
 from repro.service.protocol import (
     JobSpec,
     job_key,
-    resolve_config,
     result_digest,
     result_payload,
+    spec_to_run_unit,
 )
 from repro.tracing.progress import JobEventLog
 
@@ -149,20 +151,7 @@ class ExperimentScheduler:
             self._emit("job.dedup", f"{key}:inflight")
             return existing
 
-        unit = RunUnit(
-            spec.workload,
-            resolve_config(spec),
-            spec.transactions,
-            spec.seed,
-            mode=spec.mode,
-            fault_sites=spec.fault_sites if spec.mode == "faults" else 0,
-            scenario=(
-                tuple(sorted(dict(spec.scenario).items()))
-                if spec.mode == "scenario"
-                else ()
-            ),
-        )
-        job = Job(key=key, spec=spec, unit=unit)
+        job = Job(key=key, spec=spec, unit=spec_to_run_unit(spec))
         self._jobs[key] = job
 
         if self.results is not None:

@@ -172,8 +172,8 @@ class TestWorkerKill:
         assert summary.worker_deaths == 1
         assert summary.units_recorded == summary.units_total == len(serial)
         _assert_matches_serial(db, "killed", serial)
-        # Exactly once: each key appears in one row; clones (if any)
-        # only ever bump the duplicates counter.
+        # Exactly once: each key appears in one row; re-records (if
+        # any) only ever bump the duplicates counter.
         assert len(db.unit_keys("killed")) == len(serial)
 
     @pytest.mark.slow

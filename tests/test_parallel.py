@@ -8,12 +8,12 @@ trace cache must round-trip traces exactly.
 
 import multiprocessing
 import os
-import time
 from pathlib import Path
 
 import pytest
 
 from repro.config import eager_config
+from repro.harness import parallel
 from repro.harness.experiments import run_experiment
 from repro.harness.parallel import (
     ParallelExecutionError,
@@ -120,18 +120,17 @@ class TestExecutors:
 
 
 # ----------------------------------------------------------------------
-# Self-healing: crashed and hung workers must not kill a sweep.
+# Self-healing: a failed pool call must not kill a sweep.
 #
 # Workers must be module-level (picklable under fork/spawn); they key
 # their misbehaviour off ``multiprocessing.parent_process()`` so the
-# same function is well-behaved when the in-process serial fallback
-# runs it.
+# same function is well-behaved when the in-process rerun calls it.
 # ----------------------------------------------------------------------
 _MARKER_ENV = "REPRO_TEST_FLAKY_DIR"
 
 
 def _flaky_square(item):
-    """Crash on each item's first pool attempt, succeed afterwards."""
+    """Crash on each item's first call, succeed afterwards."""
     marker = Path(os.environ[_MARKER_ENV]) / f"seen-{item}"
     if not marker.exists():
         marker.write_text("crashed once")
@@ -139,14 +138,14 @@ def _flaky_square(item):
     return item * item
 
 
-def _hang_in_pool(item):
-    if multiprocessing.parent_process() is not None:
-        time.sleep(60)
-    return item + 1
-
-
 def _raise_in_pool(item):
     if multiprocessing.parent_process() is not None:
+        raise ValueError("worker poison")
+    return item * 3
+
+
+def _raise_two_in_pool(item):
+    if item == 2 and multiprocessing.parent_process() is not None:
         raise ValueError("worker poison")
     return item * 3
 
@@ -157,90 +156,189 @@ def _raise_everywhere(item):
 
 class TestWorkerResilience:
     def test_crashed_worker_is_retried(self, tmp_path, monkeypatch):
+        """A pool call that raises is retried once, in-process."""
         monkeypatch.setenv(_MARKER_ENV, str(tmp_path))
-        monkeypatch.setenv("REPRO_WORKER_BACKOFF", "0.01")
         failures = []
         results = fan_out(_flaky_square, [2, 3, 4], jobs=2, failures=failures)
         assert results == [4, 9, 16]
-        assert failures and all(f.resolution == "retried" for f in failures)
+        assert {f.resolution for f in failures} == {"degraded"}
+        assert sorted(f.index for f in failures) == [0, 1, 2]
         assert all("injected crash" in f.error for f in failures)
 
-    def test_hung_worker_times_out_then_serial_matches_serial_run(
-        self, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_WORKER_TIMEOUT", "0.5")
-        monkeypatch.setenv("REPRO_WORKER_RETRIES", "1")
-        monkeypatch.setenv("REPRO_WORKER_BACKOFF", "0")
-        failures = []
-        degraded = fan_out(_hang_in_pool, [5, 6], jobs=2, failures=failures)
-        # The acceptance bar: results bit-identical to an all-serial run.
-        assert degraded == fan_out(_hang_in_pool, [5, 6], jobs=1)
-        assert {f.resolution for f in failures} == {"serial"}
-        assert all("timed out" in f.error for f in failures)
-        assert sorted(f.index for f in failures) == [0, 1]
-
-    def test_poisoned_worker_degrades_to_serial(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKER_RETRIES", "1")
-        monkeypatch.setenv("REPRO_WORKER_BACKOFF", "0")
+    def test_poisoned_worker_degrades_to_serial(self):
         failures = []
         results = fan_out(_raise_in_pool, [1, 2, 3], jobs=2, failures=failures)
-        assert results == [3, 6, 9]
-        assert {f.resolution for f in failures} == {"serial"}
-        assert all(f.attempts == 3 for f in failures)  # 2 pool + 1 serial
+        # The acceptance bar: results bit-identical to an all-serial run.
+        assert results == fan_out(_raise_in_pool, [1, 2, 3], jobs=1) == [3, 6, 9]
+        assert {f.resolution for f in failures} == {"degraded"}
         assert all("ValueError" in f.error for f in failures)
 
-    def test_serial_fallback_failure_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKER_RETRIES", "0")
-        monkeypatch.setenv("REPRO_WORKER_BACKOFF", "0")
+    def test_serial_fallback_failure_raises(self):
         failures = []
-        with pytest.raises(ParallelExecutionError, match="serial fallback"):
+        with pytest.raises(ParallelExecutionError, match="again in-process"):
             fan_out(_raise_everywhere, [1, 2], jobs=2, failures=failures)
         assert failures and failures[0].resolution == "failed"
 
-    def test_report_failures_prints_summary(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKER_RETRIES", "1")
-        monkeypatch.setenv("REPRO_WORKER_BACKOFF", "0")
+    def test_report_failures_prints_summary(self, capsys):
         failures = []
         fan_out(_raise_in_pool, [1, 2], jobs=2, failures=failures)
         report_failures(failures)
         err = capsys.readouterr().err
-        assert "serial" in err and "ValueError" in err
+        assert "degraded" in err and "ValueError" in err
 
-    def test_uncollected_failures_still_reported(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKER_RETRIES", "1")
-        monkeypatch.setenv("REPRO_WORKER_BACKOFF", "0")
+    def test_uncollected_failures_still_reported(self, capsys):
         assert fan_out(_raise_in_pool, [7, 8], jobs=2) == [21, 24]
         assert "[parallel]" in capsys.readouterr().err
 
-    def test_run_units_survive_worker_timeout(self, tmp_path, monkeypatch):
-        """End-to-end through run_units: with a timeout so tight every
-        pool attempt dies, the sweep still completes serially and the
-        results match an undisturbed serial run."""
+    def test_run_units_survive_worker_failure(self, tmp_path, monkeypatch):
+        """End-to-end through run_units: every pool call fails, the
+        sweep still completes in-process, and the results match an
+        undisturbed serial run."""
         units = [
             RunUnit("hashmap", eager_config(), TXNS, SEED),
             RunUnit("btree", eager_config(), TXNS, SEED),
         ]
         serial = run_units(units, jobs=1, cache_dir=tmp_path)
-        monkeypatch.setenv("REPRO_WORKER_TIMEOUT", "0.000001")
-        monkeypatch.setenv("REPRO_WORKER_RETRIES", "1")
-        monkeypatch.setenv("REPRO_WORKER_BACKOFF", "0")
+
+        def execute_in_parent_only(unit, cache):
+            if multiprocessing.parent_process() is not None:
+                raise RuntimeError("worker poison")
+            return real_execute(unit, cache)
+
+        real_execute = parallel.execute_unit
+        monkeypatch.setattr(parallel, "execute_unit", execute_in_parent_only)
         failures = []
         degraded = run_units(
             units, jobs=2, cache_dir=tmp_path, failures=failures
         )
         for a, b in zip(serial, degraded):
             assert (a.workload, a.cycles, a.stats) == (b.workload, b.cycles, b.stats)
-        assert failures and {f.resolution for f in failures} == {"serial"}
+        assert [f.label for f in failures] == [
+            f"hashmap x{TXNS} run", f"btree x{TXNS} run",
+        ]
+        assert {f.resolution for f in failures} == {"degraded"}
+
+
+# ----------------------------------------------------------------------
+# A pool worker that dies outright (os._exit, an OOM kill) must not
+# leave a sweep blocked.  Each sweep runs in a forked child under a
+# deadline, so a regression fails the test instead of hanging the suite.
+# ----------------------------------------------------------------------
+_HOME_PID = None
+_DEATH_DEADLINE_S = 60.0
+
+
+def _in_pool_child() -> bool:
+    """True only in a pool worker forked by :func:`_run_with_deadline`."""
+    return _HOME_PID is not None and os.getpid() != _HOME_PID
+
+
+def _die_on_one(item):
+    if item == 1 and _in_pool_child():
+        os._exit(1)
+    return item * 5
+
+
+def _run_with_deadline(sweep):
+    """Run ``sweep()`` in a forked child; fail if it outlives the deadline."""
+    ctx = multiprocessing.get_context("fork")
+    receiver, sender = ctx.Pipe(duplex=False)
+
+    def child():
+        global _HOME_PID
+        _HOME_PID = os.getpid()
+        try:
+            sender.send(("ok", sweep()))
+        except BaseException as exc:  # report, never hang the parent
+            sender.send(("error", repr(exc)))
+
+    proc = ctx.Process(target=child)
+    proc.start()
+    try:
+        if not receiver.poll(_DEATH_DEADLINE_S):
+            pytest.fail(
+                f"sweep still blocked {_DEATH_DEADLINE_S:.0f}s after a pool "
+                "worker died"
+            )
+        status, value = receiver.recv()
+        proc.join(_DEATH_DEADLINE_S)
+    finally:
+        if proc.is_alive():
+            proc.kill()
+            proc.join()
+    assert status == "ok", value
+    return value
+
+
+def _failure_records(failures):
+    return [(f.index, f.resolution, f.error) for f in failures]
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the dying-worker sweeps fork their pool from a child",
+)
+class TestDyingWorker:
+    def test_fan_out_survives_worker_death(self):
+        items = [0, 1, 2]
+
+        def sweep():
+            seen, failures = [], []
+            results = fan_out(
+                _die_on_one, items, jobs=2, failures=failures,
+                on_result=lambda index, item, result: seen.append(
+                    (index, item, result)
+                ),
+            )
+            return results, seen, _failure_records(failures)
+
+        results, seen, failures = _run_with_deadline(sweep)
+        serial = fan_out(_die_on_one, items, jobs=1)
+        assert results == serial == [0, 5, 10]
+        assert seen == [(0, 0, 0), (1, 1, 5), (2, 2, 10)]
+        assert 1 in [index for index, _, _ in failures]
+        assert {resolution for _, resolution, _ in failures} == {"degraded"}
+        assert all("BrokenProcessPool" in error for _, _, error in failures)
+
+    def test_run_units_survive_worker_death(self, tmp_path):
+        units = [
+            RunUnit("hashmap", eager_config(), TXNS, SEED),
+            RunUnit("btree", eager_config(), TXNS, SEED),
+        ]
+        real_execute = parallel.execute_unit
+
+        def die_on_btree(unit, cache):
+            if unit.workload == "btree" and _in_pool_child():
+                os._exit(1)
+            return real_execute(unit, cache)
+
+        def fields(result):
+            return result.workload, result.cycles, result.stats
+
+        def sweep():
+            parallel.execute_unit = die_on_btree
+            seen, failures = [], []
+            results = run_units(
+                units, jobs=2, cache_dir=tmp_path, failures=failures,
+                on_result=lambda index, unit, result: seen.append(index),
+            )
+            return [fields(r) for r in results], seen, _failure_records(failures)
+
+        results, seen, failures = _run_with_deadline(sweep)
+        serial = run_units(units, jobs=1, cache_dir=tmp_path)
+        assert results == [fields(r) for r in serial]
+        assert seen == [0, 1]
+        assert 1 in [index for index, _, _ in failures]
+        assert {resolution for _, resolution, _ in failures} == {"degraded"}
 
 
 class TestStreamingCallbacks:
     """``on_result`` must fire exactly once per item, every path.
 
-    The hazard: a retried unit completes on a *replacement* pool (or in
-    the serial fallback), not the pool that first ran it.  The callback
-    rides the mapping function, not any one pool, so it must still fire
-    for those items — and never twice for a unit that times out on one
-    pool but later completes elsewhere.
+    The hazard: an item whose pool call failed completes in the
+    in-process rerun, not in the pool.  The callback rides the mapping
+    function, not the pool, so it must still fire for that item, in
+    index order, and never twice.
     """
 
     def _collect(self):
@@ -251,32 +349,24 @@ class TestStreamingCallbacks:
 
         return seen, on_result
 
-    def test_fires_once_per_item_after_retry_pool_replacement(
-        self, tmp_path, monkeypatch
-    ):
-        monkeypatch.setenv(_MARKER_ENV, str(tmp_path))
-        monkeypatch.setenv("REPRO_WORKER_BACKOFF", "0.01")
+    def test_fires_once_per_item_in_index_order_when_degraded(self):
         seen, on_result = self._collect()
         failures = []
         results = fan_out(
-            _flaky_square, [2, 3, 4], jobs=2, failures=failures,
+            _raise_two_in_pool, [1, 2, 3], jobs=2, failures=failures,
             on_result=on_result,
         )
-        assert results == [4, 9, 16]
-        # Every item crashed its first pool and was retried on a fresh
-        # one — yet each streamed exactly once, with the right value.
-        assert failures and all(f.resolution == "retried" for f in failures)
-        assert sorted(seen) == [(0, 2, 4), (1, 3, 9), (2, 4, 16)]
+        assert results == [3, 6, 9]
+        assert [(f.index, f.resolution) for f in failures] == [(1, "degraded")]
+        assert seen == [(0, 1, 3), (1, 2, 6), (2, 3, 9)]
 
-    def test_fires_once_per_item_in_serial_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKER_RETRIES", "1")
-        monkeypatch.setenv("REPRO_WORKER_BACKOFF", "0")
+    def test_fires_once_per_item_in_serial_fallback(self):
         seen, on_result = self._collect()
         results = fan_out(
             _raise_in_pool, [1, 2, 3], jobs=2, on_result=on_result
         )
         assert results == [3, 6, 9]
-        assert sorted(seen) == [(0, 1, 3), (1, 2, 6), (2, 3, 9)]
+        assert seen == [(0, 1, 3), (1, 2, 6), (2, 3, 9)]
 
     def test_fires_in_pure_serial_mode(self):
         seen, on_result = self._collect()
