@@ -12,7 +12,7 @@ producing JSON + static HTML aggregates served read-only by the
 service.  See ``docs/fleet.md``.
 """
 
-from repro.fleet.db import FleetDB, default_db_path  # noqa: F401
+from repro.fleet.db import FleetDB  # noqa: F401
 from repro.fleet.dispatcher import (  # noqa: F401
     CampaignSpec,
     FleetDispatcher,

@@ -21,15 +21,15 @@ thread-safe), so multiple dispatcher threads — or multiple dispatcher
 *processes* on a shared filesystem — can record units concurrently.
 
 Environment: ``REPRO_FLEET_DB=<path>`` names the default database
-file (documented beside ``REPRO_TRACE_CACHE``/``REPRO_RESULT_CACHE``
-in docs/fleet.md); unset falls back to
+file (resolved by :func:`repro.harness.trace_store.cache_location`
+beside ``REPRO_TRACE_CACHE``/``REPRO_RESULT_CACHE``; documented in
+docs/fleet.md); unset falls back to
 ``~/.cache/dolos-repro/fleet.sqlite`` (respects ``XDG_CACHE_HOME``).
 """
 
 from __future__ import annotations
 
 import json
-import os
 import sqlite3
 import subprocess
 import threading
@@ -38,10 +38,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from repro.harness.trace_store import ResultStore
+from repro.harness.runner import result_digest
+from repro.harness.trace_store import cache_location
 from repro.workloads import GENERATOR_VERSION
-
-ENV_DB = "REPRO_FLEET_DB"
 
 SCHEMA_VERSION = 1
 
@@ -105,16 +104,6 @@ class UnitDigestMismatch(FleetDBError):
     """
 
 
-def default_db_path() -> Path:
-    """Resolve the fleet database path from ``REPRO_FLEET_DB``."""
-    env = os.environ.get(ENV_DB, "").strip()
-    if env:
-        return Path(env).expanduser()
-    xdg = os.environ.get("XDG_CACHE_HOME")
-    base = Path(xdg).expanduser() if xdg else Path.home() / ".cache"
-    return base / "dolos-repro" / "fleet.sqlite"
-
-
 def current_git_hash() -> str:
     """Best-effort git HEAD of the running checkout ('' when unknown)."""
     try:
@@ -128,11 +117,6 @@ def current_git_hash() -> str:
     except (OSError, subprocess.SubprocessError):
         return ""
     return proc.stdout.strip() if proc.returncode == 0 else ""
-
-
-#: Payload digests reuse the service's result-store scheme so a db row
-#: can be compared bit-for-bit against a wire ``result`` frame digest.
-payload_digest = ResultStore.payload_digest
 
 
 @dataclass
@@ -162,7 +146,7 @@ class FleetDB:
     def __init__(
         self, path: Union[str, Path, None] = None, readonly: bool = False
     ) -> None:
-        self.path = Path(path) if path is not None else default_db_path()
+        self.path = Path(path) if path is not None else cache_location("fleet.sqlite")
         self.readonly = readonly
         self._local = threading.local()
         #: Corrupt rows moved aside by digest verification.
@@ -275,7 +259,7 @@ class FleetDB:
         *counted*, never double-recorded).  Raises
         :class:`UnitDigestMismatch` when the digests differ.
         """
-        digest = payload_digest(payload)
+        digest = result_digest(payload)
         conn = self._conn()
         # BEGIN IMMEDIATE serialises concurrent writers on the same
         # key: the check-then-insert pair must be atomic or two racing
@@ -356,7 +340,7 @@ class FleetDB:
         try:
             payload = json.loads(row["payload"])
             stored = row["payload_digest"]
-            if payload_digest(payload) != stored:
+            if result_digest(payload) != stored:
                 raise ValueError("payload digest mismatch")
             spec = json.loads(row["spec"])
         except Exception as exc:

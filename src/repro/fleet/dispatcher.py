@@ -20,7 +20,7 @@ Every completed unit is recorded into the :class:`~repro.fleet.db
 .FleetDB` the moment its result frame lands, so a dispatcher crash
 loses at most the in-flight units, and a re-run of the same experiment
 id resumes idempotently.  ``workers=0`` runs the whole campaign inline
-through :func:`repro.harness.parallel.run_units` with its streaming
+through :func:`repro.harness.parallel.fan_out` with its streaming
 ``on_result`` callback — the no-subprocess path used by tests and tiny
 campaigns.
 """
@@ -43,13 +43,14 @@ from pathlib import Path
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.retry import CircuitBreaker
-from repro.fleet.db import FleetDB, current_git_hash, default_db_path
+from repro.fleet.db import FleetDB, current_git_hash
 from repro.fleet.supervisor import (
     HeartbeatMonitor,
     SupervisionConfig,
     SupervisionLog,
 )
-from repro.harness.parallel import RunUnit, run_units
+from repro.harness.parallel import _UnitRunner, fan_out
+from repro.harness.trace_store import cache_location
 from repro.oracle.check import controller_matrix
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.protocol import (
@@ -69,26 +70,6 @@ WORKER_START_TIMEOUT = 30.0
 WORKER_STOP_TIMEOUT = 10.0
 #: Poll interval while a worker thread waits on other shards' units.
 _IDLE_POLL = 0.02
-
-
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name, "").strip()
-    return float(raw) if raw else default
-
-
-def worker_start_timeout() -> float:
-    """``REPRO_FLEET_START_TIMEOUT`` or :data:`WORKER_START_TIMEOUT`."""
-    return _env_float("REPRO_FLEET_START_TIMEOUT", WORKER_START_TIMEOUT)
-
-
-def worker_stop_timeout() -> float:
-    """``REPRO_FLEET_STOP_TIMEOUT`` or :data:`WORKER_STOP_TIMEOUT`."""
-    return _env_float("REPRO_FLEET_STOP_TIMEOUT", WORKER_STOP_TIMEOUT)
-
-
-def idle_poll() -> float:
-    """``REPRO_FLEET_IDLE_POLL`` or :data:`_IDLE_POLL`."""
-    return _env_float("REPRO_FLEET_IDLE_POLL", _IDLE_POLL)
 
 
 class FleetError(RuntimeError):
@@ -460,7 +441,7 @@ class ServiceWorker:
         self.runtime_dir.mkdir(parents=True, exist_ok=True)
         self.ready_path.unlink(missing_ok=True)
         Path(self.socket_path).unlink(missing_ok=True)
-        start_timeout = worker_start_timeout()
+        start_timeout = WORKER_START_TIMEOUT
         self.process = subprocess.Popen(
             [
                 sys.executable,
@@ -489,7 +470,7 @@ class ServiceWorker:
                 self.process.kill()
                 raise FleetError(
                     f"worker {self.worker_id} did not become ready within "
-                    f"{start_timeout}s (REPRO_FLEET_START_TIMEOUT)"
+                    f"{start_timeout}s"
                 )
             time.sleep(0.01)
         self.ready = True
@@ -522,7 +503,7 @@ class ServiceWorker:
             return
         self.process.send_signal(signal.SIGTERM)
         try:
-            self.process.wait(timeout=worker_stop_timeout())
+            self.process.wait(timeout=WORKER_STOP_TIMEOUT)
         except subprocess.TimeoutExpired:
             self.process.kill()
             self.process.wait()
@@ -531,6 +512,16 @@ class ServiceWorker:
 # ----------------------------------------------------------------------
 # The dispatcher
 # ----------------------------------------------------------------------
+class _TimedUnitRunner(_UnitRunner):
+    """Run one unit; return ``(result, seconds)``, timed in whichever
+    process ran it."""
+
+    def __call__(self, unit):
+        started = time.perf_counter()
+        result = super().__call__(unit)
+        return result, time.perf_counter() - started
+
+
 @dataclass
 class WorkerReport:
     """Per-worker tally for the run summary.
@@ -598,11 +589,9 @@ class FleetDispatcher:
         #: record — the integration tests' kill-injection hook.
         self.on_record = on_record
         #: Heartbeats / breakers / respawn; defaults to the inert
-        #: env-derived config (everything off unless REPRO_FLEET_* set).
+        #: zero config (everything off).
         self.supervision = (
-            supervision
-            if supervision is not None
-            else SupervisionConfig.from_env()
+            supervision if supervision is not None else SupervisionConfig()
         )
         #: ``on_worker_start(worker)`` fires after every incarnation
         #: becomes ready (initial start *and* respawns) — the chaos
@@ -666,21 +655,20 @@ class FleetDispatcher:
 
     # -- inline (workers == 0) -------------------------------------------
     def _run_inline(self, todo: Sequence[FleetUnit]) -> WorkerReport:
-        """No subprocesses: stream the units through run_units."""
+        """No subprocesses: stream the units through ``fan_out``."""
         report = WorkerReport(worker_id="inline")
         run_specs = [spec_to_run_unit(unit.spec) for unit in todo]
-        timings: Dict[int, float] = {}
 
-        def on_result(index: int, _run_unit: RunUnit, result) -> None:
+        def on_result(index: int, _run_unit, timed) -> None:
             unit = todo[index]
-            elapsed = time.monotonic() - timings.get(index, time.monotonic())
+            result, elapsed = timed
             status = self.db.record_unit(
                 self.experiment_id,
                 unit.key,
                 dict(unit.spec.to_wire()),
                 result_payload(result),
                 worker_id="inline",
-                elapsed_s=max(elapsed, 0.0),
+                elapsed_s=elapsed,
             )
             report.completed += 1
             if status == "duplicate":
@@ -688,9 +676,12 @@ class FleetDispatcher:
             if self.on_record is not None:
                 self.on_record("inline", unit.key)
 
-        for index in range(len(run_specs)):
-            timings[index] = time.monotonic()
-        run_units(run_specs, jobs=self.worker_jobs, on_result=on_result)
+        fan_out(
+            _TimedUnitRunner(cache_location("traces")),
+            run_specs,
+            self.worker_jobs,
+            on_result=on_result,
+        )
         return report
 
     # -- distributed -----------------------------------------------------
@@ -716,19 +707,10 @@ class FleetDispatcher:
             for index in range(self.workers)
         ]
         reports = [WorkerReport(worker_id=h.worker_id) for h in handles]
-        logger.info(
-            "fleet timeouts: start=%.1fs (REPRO_FLEET_START_TIMEOUT) "
-            "stop=%.1fs (REPRO_FLEET_STOP_TIMEOUT) idle-poll=%.3fs "
-            "(REPRO_FLEET_IDLE_POLL)",
-            worker_start_timeout(),
-            worker_stop_timeout(),
-            idle_poll(),
-        )
         if self.supervision.heartbeat_enabled:
             logger.info(
                 "fleet supervision: heartbeat=%.2fs stale-after=%.2fs "
-                "respawn-budget=%d (REPRO_FLEET_HEARTBEAT / "
-                "REPRO_FLEET_STALE_AFTER / REPRO_FLEET_RESPAWNS)",
+                "respawn-budget=%d",
                 self.supervision.heartbeat_interval,
                 self.supervision.effective_stale_after,
                 self.supervision.respawn_budget,
@@ -896,7 +878,6 @@ class FleetDispatcher:
         report: WorkerReport,
     ) -> Optional[str]:
         """Drive one incarnation; None = clean drain, str = death reason."""
-        poll = idle_poll()
         breaker = self._breakers.get(worker.worker_id)
         try:
             client = worker.connect()
@@ -914,7 +895,7 @@ class FleetDispatcher:
                 if unit is None:
                     if ledger.outstanding() == 0:
                         return None
-                    time.sleep(poll)
+                    time.sleep(_IDLE_POLL)
                     continue
                 submit_started = time.monotonic()
                 try:
@@ -985,18 +966,12 @@ def _campaign_from_args(args) -> CampaignSpec:
 
 
 def _supervision_from_args(args) -> SupervisionConfig:
-    """Env-derived config with explicit CLI flags layered on top."""
-    from dataclasses import replace as _replace
-
-    config = SupervisionConfig.from_env()
-    overrides = {}
-    if args.heartbeat is not None:
-        overrides["heartbeat_interval"] = args.heartbeat
-    if args.stale_after is not None:
-        overrides["stale_after"] = args.stale_after
-    if args.respawns is not None:
-        overrides["respawn_budget"] = args.respawns
-    return _replace(config, **overrides) if overrides else config
+    """The supervision knobs the CLI flags set (unset flags stay off)."""
+    return SupervisionConfig(
+        heartbeat_interval=args.heartbeat or 0.0,
+        stale_after=args.stale_after or 0.0,
+        respawn_budget=args.respawns or 0,
+    )
 
 
 def _cmd_run(args) -> int:
@@ -1101,8 +1076,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     run.add_argument(
         "--heartbeat", type=float, default=None,
-        help="seconds between worker health probes (0 = off; "
-        "default $REPRO_FLEET_HEARTBEAT or off)",
+        help="seconds between worker health probes (default 0 = off)",
     )
     run.add_argument(
         "--stale-after", type=float, default=None,
@@ -1111,8 +1085,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     run.add_argument(
         "--respawns", type=int, default=None,
-        help="fleet-wide worker respawn budget (default "
-        "$REPRO_FLEET_RESPAWNS or 0)",
+        help="fleet-wide worker respawn budget (default 0)",
     )
     run.add_argument("--json", action="store_true")
     run.add_argument(

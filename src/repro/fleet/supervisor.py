@@ -33,12 +33,12 @@ degraded — an injected fault with no matching evidence anywhere is a
 
 All knobs default **off** (``SupervisionConfig()`` is inert) so the
 library-level dispatcher behaves exactly as before unless a caller —
-or the ``REPRO_FLEET_*`` environment — opts in.
+``fleet run --heartbeat/--stale-after/--respawns`` or the chaos
+harness — opts in.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -52,16 +52,6 @@ __all__ = [
     "SupervisionLog",
     "HeartbeatMonitor",
 ]
-
-
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name, "").strip()
-    return float(raw) if raw else default
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name, "").strip()
-    return int(raw) if raw else default
 
 
 @dataclass(frozen=True)
@@ -104,19 +94,6 @@ class SupervisionConfig:
             failure_threshold=self.breaker_threshold,
             cooldown=self.breaker_cooldown,
             max_trips=self.breaker_max_trips,
-        )
-
-    @classmethod
-    def from_env(cls) -> "SupervisionConfig":
-        """Read ``REPRO_FLEET_*`` overrides; defaults stay off."""
-        return cls(
-            heartbeat_interval=_env_float("REPRO_FLEET_HEARTBEAT", 0.0),
-            stale_after=_env_float("REPRO_FLEET_STALE_AFTER", 0.0),
-            respawn_budget=_env_int("REPRO_FLEET_RESPAWNS", 0),
-            probe_timeout=_env_float("REPRO_FLEET_PROBE_TIMEOUT", 1.0),
-            breaker_threshold=_env_int("REPRO_FLEET_BREAKER_THRESHOLD", 3),
-            breaker_cooldown=_env_float("REPRO_FLEET_BREAKER_COOLDOWN", 0.5),
-            breaker_max_trips=_env_int("REPRO_FLEET_BREAKER_TRIPS", 3),
         )
 
 

@@ -7,78 +7,53 @@ disk, so a unit whose op stream, configuration and simulator sources
 are all byte-identical to an earlier run is simulated once **ever**
 and replayed as a dictionary lookup afterwards.
 
-The unit key chains three fingerprints:
+The unit key digests :data:`MEMO_VERSION` and three fingerprints:
 
-* **trace chain** — the op stream is split into segments at
-  transaction boundaries (:data:`SEGMENT_TRANSACTIONS` per segment)
-  and digested as a chain, ``d_i = H(d_{i-1} | segment_bytes)``,
-  reusing the column digests of the PR-1 trace store.  Two traces
-  share every ``d_i`` up to their first divergent segment, whatever
-  seeds produced them — identical streams collide on the full chain
-  regardless of provenance, and the chain makes the key incremental
-  to compute.
+* **trace** — :meth:`repro.harness.trace_store.TraceStore.payload_digest`
+  of the op stream, the digest the trace store already checks every
+  entry against.  Identical streams share a key whatever seeds
+  produced them.
 * **config fingerprint** — canonical JSON of the full
   :class:`repro.config.SimConfig`.
 * **model fingerprint** — a digest over the ``repro`` package sources,
   so *any* code change invalidates every cached result (metrics are
   pinned bit-exactly; a stale hit would be a silent wrong answer).
 
-Reuse is whole-unit: the simulator cannot resume from a mid-trace
-snapshot, so a cached entry is only consulted when the *entire* chain
-matches.  Results are stored through the quarantining
-:class:`repro.harness.trace_store.ResultStore` (corrupt entries are
-moved aside and count as misses, never as wrong results).
+Entries are :func:`repro.harness.runner.result_payload` dicts in a
+:class:`repro.harness.trace_store.ResultStore` — the same codec,
+digest and store as the service's result cache — so a corrupt or
+undecodable entry is quarantined and counts as a miss, never as a
+wrong result.
 
-Environment:
-
-* ``REPRO_UNIT_MEMO=<dir>`` — memo directory (created on demand).
-* ``REPRO_UNIT_MEMO=off`` (or ``0``/``none``/``disabled``/empty) —
-  disable the memo entirely.
-* unset — ``units`` sibling of the trace cache (so
-  ``REPRO_TRACE_CACHE=off`` with ``REPRO_UNIT_MEMO`` unset disables
-  both layers together).
+Location: ``REPRO_UNIT_MEMO=<dir>``; ``off`` (or
+``0``/``none``/``disabled``/empty) disables the memo; unset — the
+``units`` sibling of the trace cache, so ``REPRO_TRACE_CACHE=off``
+with ``REPRO_UNIT_MEMO`` unset disables both layers together (see
+:func:`repro.harness.trace_store.cache_location`).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import asdict
 from enum import Enum
 from pathlib import Path
 from typing import Optional
 
-from repro.config import ControllerKind, MiSUDesign, SimConfig
-from repro.cpu import trace_io
-from repro.cpu.trace import OP_TXEND
-from repro.harness.runner import RunResult, run_trace
-from repro.harness.trace_store import (
-    _DISABLED_VALUES,
-    ResultStore,
-    default_cache_dir,
+from repro.config import SimConfig
+from repro.harness.runner import (
+    RunResult,
+    payload_to_result,
+    result_payload,
+    run_trace,
 )
+from repro.harness.trace_store import ResultStore, TraceStore, cache_location
 
-#: Transactions per digest segment of the trace chain.
-SEGMENT_TRANSACTIONS = 64
-
-#: Bump to invalidate every cached unit result (format changes).
-MEMO_VERSION = 1
+#: Bump to invalidate every cached unit result (format or key changes).
+MEMO_VERSION = 2
 
 _MODEL_FINGERPRINT: Optional[str] = None
-
-
-def default_unit_memo_dir() -> Optional[Path]:
-    """Resolve the unit-memo directory from the environment."""
-    env = os.environ.get("REPRO_UNIT_MEMO")
-    if env is not None:
-        if env.strip().lower() in _DISABLED_VALUES or not env.strip():
-            return None
-        return Path(env).expanduser()
-    traces = default_cache_dir()
-    if traces is None:
-        return None
-    return traces.parent / "units"
 
 
 def model_fingerprint() -> str:
@@ -110,41 +85,6 @@ def config_fingerprint(config: SimConfig) -> str:
     return hashlib.sha256(material.encode("utf-8")).hexdigest()[:24]
 
 
-def trace_chain_digests(trace) -> list:
-    """Chained per-segment digests of the op stream.
-
-    Segments close every :data:`SEGMENT_TRANSACTIONS` transaction-end
-    ops (the trailing partial segment closes at end-of-trace).  Each
-    link digests the previous link plus the segment's column bytes, so
-    ``out[-1]`` identifies the whole stream while ``out[:k]`` is shared
-    with any stream that matches on the first ``k`` segments.
-    """
-    codes, operands = trace_io.trace_to_arrays(trace)
-    code_bytes = codes.tobytes()
-    operand_bytes = operands.tobytes()
-    # One int64 op per 8 bytes; segment boundaries land after every
-    # SEGMENT_TRANSACTIONS-th OP_TXEND.
-    ends = (codes == OP_TXEND).nonzero()[0]
-    cuts = [int(ends[i]) + 1 for i in range(
-        SEGMENT_TRANSACTIONS - 1, len(ends), SEGMENT_TRANSACTIONS
-    )]
-    if not cuts or cuts[-1] != len(codes):
-        cuts.append(len(codes))
-    out = []
-    previous = b"chain-v%d" % MEMO_VERSION
-    start = 0
-    for stop in cuts:
-        digest = hashlib.sha256()
-        digest.update(previous)
-        digest.update(code_bytes[start * 8:stop * 8])
-        digest.update(b"|")
-        digest.update(operand_bytes[start * 8:stop * 8])
-        previous = digest.hexdigest()[:24].encode()
-        out.append(previous.decode())
-        start = stop
-    return out
-
-
 class UnitMemo:
     """Disk memo of completed run units, keyed by content."""
 
@@ -153,14 +93,20 @@ class UnitMemo:
 
     def __init__(self, cache_dir=AUTO) -> None:
         if cache_dir is UnitMemo.AUTO:
-            cache_dir = default_unit_memo_dir()
+            cache_dir = cache_location("units")
         self._store = ResultStore(cache_dir) if cache_dir is not None else None
-        self.hits = 0
-        self.misses = 0
 
     @property
     def enabled(self) -> bool:
         return self._store is not None
+
+    @property
+    def hits(self) -> int:
+        return self._store.hits if self._store is not None else 0
+
+    @property
+    def misses(self) -> int:
+        return self._store.misses if self._store is not None else 0
 
     @property
     def quarantined_entries(self) -> int:
@@ -169,13 +115,11 @@ class UnitMemo:
 
     # ------------------------------------------------------------------
     def key_for(self, config: SimConfig, trace) -> str:
-        """The unit's content key (full trace chain + fingerprints)."""
-        chain = trace_chain_digests(trace)
+        """The unit's content key (trace digest + fingerprints)."""
         material = json.dumps(
             {
                 "memo_version": MEMO_VERSION,
-                "trace_chain": chain[-1] if chain else "empty",
-                "segments": len(chain),
+                "trace": TraceStore.payload_digest(trace),
                 "config": config_fingerprint(config),
                 "model": model_fingerprint(),
             },
@@ -187,30 +131,12 @@ class UnitMemo:
     def load(self, key: str) -> Optional[RunResult]:
         if self._store is None:
             return None
-        payload = self._store.load(key)
-        if payload is None:
-            self.misses += 1
-            return None
-        try:
-            result = _result_from_payload(payload)
-        except Exception:
-            # The payload passed the store's byte-digest check but does
-            # not decode to a RunResult (bad enum value, missing field).
-            # Quarantine it like any other corrupt entry — leaving it in
-            # place would fail every future load of this key while
-            # blocking regeneration from ever being consulted.
-            self._store.hits -= 1
-            self._store._quarantine(self._store.path_for(key))
-            self._store.misses += 1
-            self.misses += 1
-            return None
-        self.hits += 1
-        return result
+        return self._store.load(key, payload_to_result)
 
     def store(self, key: str, result: RunResult) -> None:
         if self._store is None:
             return
-        self._store.store(key, _result_to_payload(result))
+        self._store.store(key, result_payload(result))
 
     # ------------------------------------------------------------------
     def run(
@@ -234,29 +160,3 @@ class UnitMemo:
         result = run_trace(config, trace, workload_name, transactions)
         self.store(key, result)
         return result
-
-
-def _result_to_payload(result: RunResult) -> dict:
-    return {
-        "workload": result.workload,
-        "controller": result.controller.value,
-        "misu_design": result.misu_design.value,
-        "transactions": result.transactions,
-        "payload_bytes": result.payload_bytes,
-        "cycles": result.cycles,
-        "instructions": result.instructions,
-        "stats": dict(result.stats),
-    }
-
-
-def _result_from_payload(payload: dict) -> RunResult:
-    return RunResult(
-        workload=payload["workload"],
-        controller=ControllerKind(payload["controller"]),
-        misu_design=MiSUDesign(payload["misu_design"]),
-        transactions=payload["transactions"],
-        payload_bytes=payload["payload_bytes"],
-        cycles=payload["cycles"],
-        instructions=payload["instructions"],
-        stats=dict(payload["stats"]),
-    )

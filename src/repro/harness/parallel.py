@@ -47,7 +47,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.config import SimConfig
 from repro.harness.breakdown import CycleBreakdown, run_with_breakdown
 from repro.harness.runner import RunResult, run_trace
-from repro.harness.trace_store import TraceCache, default_cache_dir
+from repro.harness.trace_store import TraceCache, cache_location
 
 #: Fork keeps worker start cheap and inherits the warm interpreter; it
 #: is the default on Linux.  Platforms without fork fall back to spawn.
@@ -304,7 +304,7 @@ def unit_pool(jobs: int):
     ``BrokenProcessPool`` on every pending call, and the broken pool
     accepts no more work.
     """
-    return _process_pool(jobs, _UnitRunner(default_cache_dir()))
+    return _process_pool(jobs, _UnitRunner(cache_location("traces")))
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
@@ -431,7 +431,7 @@ def run_units(
     on ``cache_dir``, which every worker shares on disk.
     """
     if cache_dir is TraceCache.AUTO:
-        cache_dir = default_cache_dir()
+        cache_dir = cache_location("traces")
     return fan_out(_UnitRunner(cache_dir), units, jobs, failures, on_result)
 
 

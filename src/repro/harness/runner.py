@@ -1,10 +1,18 @@
-"""Single-run plumbing: build a system, replay a trace, collect results."""
+"""Single-run plumbing: build a system, replay a trace, collect results.
+
+:func:`result_payload` / :func:`payload_to_result` are the one codec
+between a :class:`RunResult` and the plain dict every result store
+holds (unit memo, service result cache, fleet database, wire frames),
+and :func:`result_digest` is the one fingerprint of such a payload.
+"""
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping
 
 from repro.config import ControllerKind, MiSUDesign, SimConfig
 from repro.core.controller import MemoryController, make_controller
@@ -49,6 +57,48 @@ class RunResult:
         if not writes:
             return 0.0
         return 1000.0 * self.stats.get("wpq.retry_events", 0) / writes
+
+
+def result_payload(result) -> Dict[str, object]:
+    """Serialise one unit result to a wire/cache-stable dict.
+
+    ``run`` units yield a :class:`RunResult`; ``faults`` and
+    ``scenario`` units already arrive as plain dicts (tagged
+    ``"kind": "faults"`` / ``"kind": "scenario"``), which pass through
+    untouched so their digests are stable end to end.
+    """
+    if isinstance(result, Mapping):
+        return dict(result)
+    return {
+        "workload": result.workload,
+        "controller": result.controller.value,
+        "misu_design": result.misu_design.value,
+        "transactions": result.transactions,
+        "payload_bytes": result.payload_bytes,
+        "cycles": result.cycles,
+        "instructions": result.instructions,
+        "stats": {k: result.stats[k] for k in sorted(result.stats)},
+    }
+
+
+def payload_to_result(payload: Mapping[str, object]) -> RunResult:
+    """Rebuild a :class:`RunResult` from its payload dict."""
+    return RunResult(
+        workload=payload["workload"],
+        controller=ControllerKind(payload["controller"]),
+        misu_design=MiSUDesign(payload["misu_design"]),
+        transactions=payload["transactions"],
+        payload_bytes=payload["payload_bytes"],
+        cycles=payload["cycles"],
+        instructions=payload["instructions"],
+        stats=dict(payload["stats"]),
+    )
+
+
+def result_digest(payload: Mapping[str, object]) -> str:
+    """Fingerprint of a result payload's canonical JSON."""
+    material = json.dumps(dict(payload), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(material.encode("utf-8")).hexdigest()[:24]
 
 
 def run_trace(

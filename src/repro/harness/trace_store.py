@@ -1,28 +1,40 @@
-"""Persistent, content-addressed trace cache shared by experiment runs.
+"""Persistent, content-addressed stores behind every on-disk cache.
 
 Generating a WHISPER trace is pure-Python work that dominates short
-experiment runs; this module gives every (workload, transactions,
-payload, seed) trace a stable on-disk identity so sweeps — serial or
-fanned out over a process pool — generate each trace once *ever* and
-replay it from disk afterwards.
+experiment runs; :class:`TraceStore` gives every (workload,
+transactions, payload, seed) trace a stable on-disk identity so sweeps
+— serial or fanned out over a process pool — generate each trace once
+*ever* and replay it from disk afterwards.  :class:`ResultStore` keeps
+result payloads (the unit memo's and the service's) the same way.
 
-Layout: one ``.npz`` per trace (see :mod:`repro.cpu.trace_io`) under a
-single cache directory.  The filename embeds both the human-readable
-key and a SHA-256 digest of the full cache key, which includes
+Both are one implementation, :class:`_EntryStore`: one top-level file
+per entry (``<name>.npz`` for traces, ``<key>.json`` for results), each
+carrying a digest of its payload bytes that is re-checked on every
+load.  A trace's filename embeds both the human-readable key and a
+SHA-256 digest of the full cache key, which includes
 :data:`repro.workloads.GENERATOR_VERSION` and the trace-format version
 — bumping either invalidates old entries without any cleanup pass.
 
-Concurrency: writers serialise a trace to a temporary file in the cache
-directory and ``os.replace`` it into place.  The rename is atomic on
-POSIX, so pool workers racing to fill the same key each write a
+Concurrency: writers serialise an entry to a temporary file in the
+store directory and ``os.replace`` it into place.  The rename is atomic
+on POSIX, so pool workers racing to fill the same key each write a
 complete file and the last one wins with identical content; readers
-never observe a torn entry.
+never observe a torn entry.  An entry that fails to read, verify or
+decode is moved into ``quarantine/`` and counts as a miss.
 
-Environment:
+Locations (:func:`cache_location`, the one resolver):
 
-* ``REPRO_TRACE_CACHE=<dir>`` — cache directory (created on demand).
-* ``REPRO_TRACE_CACHE=off`` (or ``0``/empty) — disable the disk layer.
-* unset — ``~/.cache/dolos-repro/traces`` (respects ``XDG_CACHE_HOME``).
+* ``REPRO_TRACE_CACHE=<dir>`` — trace cache directory (created on
+  demand); unset — ``~/.cache/dolos-repro/traces`` (respects
+  ``XDG_CACHE_HOME``).
+* ``REPRO_UNIT_MEMO`` / ``REPRO_RESULT_CACHE`` — unit-memo and service
+  result-cache directories; unset — the ``units`` / ``results``
+  sibling of the trace cache, so ``REPRO_TRACE_CACHE=off`` disables
+  them too.
+* ``off`` (or ``0``/``none``/``disabled``/empty) disables any of the
+  three.
+* ``REPRO_FLEET_DB=<path>`` — the fleet database file (no off value;
+  unset or empty — ``~/.cache/dolos-repro/fleet.sqlite``).
 """
 
 from __future__ import annotations
@@ -32,34 +44,53 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, TypeVar, Union
 
 from repro.cpu import trace_io
+from repro.harness.runner import result_digest
 from repro.workloads import GENERATOR_VERSION, generate_trace
 
 #: Cache key type: (workload, transactions, payload_bytes, seed).
 TraceKey = Tuple[str, int, int, int]
 
-_DISABLED_VALUES = {"off", "0", "none", "disabled"}
+_DISABLED_VALUES = {"", "off", "0", "none", "disabled"}
+
+#: Each cache's environment variable, by its default name under
+#: ``dolos-repro/``.
+_CACHE_ENV = {
+    "traces": "REPRO_TRACE_CACHE",
+    "units": "REPRO_UNIT_MEMO",
+    "results": "REPRO_RESULT_CACHE",
+    "fleet.sqlite": "REPRO_FLEET_DB",
+}
+
+_T = TypeVar("_T")
 
 
-def default_cache_dir() -> Optional[Path]:
-    """Resolve the disk-cache directory from the environment.
+def cache_location(name: str) -> Optional[Path]:
+    """Resolve one cache's location from the environment.
 
-    Returns ``None`` when the disk layer is disabled.
+    ``name`` is ``traces``, ``units``, ``results`` or ``fleet.sqlite``;
+    returns ``None`` when that cache is disabled.
     """
-    env = os.environ.get("REPRO_TRACE_CACHE")
-    if env is not None:
-        if env.strip().lower() in _DISABLED_VALUES or not env.strip():
+    env = os.environ.get(_CACHE_ENV[name])
+    if name == "fleet.sqlite":
+        if env and env.strip():
+            return Path(env.strip()).expanduser()
+    elif env is not None:
+        if env.strip().lower() in _DISABLED_VALUES:
             return None
         return Path(env).expanduser()
+    elif name != "traces":
+        traces = cache_location("traces")
+        return traces.parent / name if traces is not None else None
     xdg = os.environ.get("XDG_CACHE_HOME")
     base = Path(xdg).expanduser() if xdg else Path.home() / ".cache"
-    return base / "dolos-repro" / "traces"
+    return base / "dolos-repro" / name
 
 
-class TraceStore:
-    """Content-addressed on-disk store of generated traces."""
+class _EntryStore:
+    """A directory of digest-checked entries, one file each."""
 
     #: Subdirectory corrupt entries are moved into (kept for forensics).
     QUARANTINE_DIR = "quarantine"
@@ -68,10 +99,63 @@ class TraceStore:
         self.root = Path(root)
         self.hits = 0
         self.misses = 0
-        #: Corrupt/truncated entries moved aside by :meth:`load`.
+        #: Corrupt, truncated or undecodable entries moved aside.
         self.quarantined = 0
 
-    # ------------------------------------------------------------------
+    def _read(self, path: Path, read: Callable[[Path], _T]) -> Optional[_T]:
+        """``read(path)``, or ``None`` on a miss.
+
+        Any exception from ``read`` — a torn file, a digest mismatch, a
+        payload that does not decode — quarantines the entry and counts
+        as a miss, never as an error or a wrong result.
+        """
+        if not path.exists():
+            self.misses += 1
+            return None
+        try:
+            value = read(path)
+        except Exception:
+            self._quarantine(path)
+            self.misses += 1
+            return None
+        self.hits += 1
+        return value
+
+    def _write(self, path: Path, write: Callable[[str], None]) -> Path:
+        """Atomically place the file ``write(tmp_name)`` produces at ``path``."""
+        self.root.mkdir(parents=True, exist_ok=True)
+        fd, tmp_name = tempfile.mkstemp(
+            dir=self.root, prefix=".tmp-", suffix=path.suffix
+        )
+        os.close(fd)
+        try:
+            write(tmp_name)
+            os.replace(tmp_name, path)
+        except BaseException:
+            try:
+                os.unlink(tmp_name)
+            except OSError:
+                pass
+            raise
+        return path
+
+    def _quarantine(self, path: Path) -> None:
+        """Move a bad entry aside (fall back to deletion if that fails)."""
+        target_dir = self.root / self.QUARANTINE_DIR
+        try:
+            target_dir.mkdir(parents=True, exist_ok=True)
+            os.replace(path, target_dir / path.name)
+        except OSError:
+            try:
+                path.unlink()
+            except OSError:
+                return
+        self.quarantined += 1
+
+
+class TraceStore(_EntryStore):
+    """Content-addressed on-disk store of generated traces."""
+
     @staticmethod
     def payload_digest(trace) -> str:
         """Content digest of the trace *payload* (the arrays themselves).
@@ -81,7 +165,8 @@ class TraceStore:
         one authenticates its *bytes* — a truncated or bit-rotted file
         fails here even when its header survived intact.  Accepts the
         tuple-list form or a :class:`repro.cpu.trace_io.PackedTrace`
-        (both digest identically for the same op stream).
+        (both digest identically for the same op stream); the unit memo
+        keys runs by it too.
         """
         codes, operands = trace_io.trace_to_arrays(trace)
         material = codes.tobytes() + b"|" + operands.tobytes()
@@ -117,10 +202,10 @@ class TraceStore:
         """Return the cached trace for ``key``, or ``None`` on a miss.
 
         A corrupt, truncated or mismatched entry counts as a miss: the
-        file is moved into the ``quarantine/`` subdirectory (never
-        surfaced as an unpickling error) and the caller regenerates.
-        Entries written before payload digests existed are treated as
-        corrupt — there is no way to vouch for their bytes.
+        file is quarantined (never surfaced as an unpickling error) and
+        the caller regenerates.  Entries written before payload digests
+        existed are treated as corrupt — there is no way to vouch for
+        their bytes.
         """
         packed = self.load_packed(key)
         return packed.to_trace() if packed is not None else None
@@ -133,35 +218,16 @@ class TraceStore:
         directly, skipping the per-op tuple rebuild the replay path no
         longer needs.
         """
-        path = self.path_for(key)
-        if not path.exists():
-            self.misses += 1
-            return None
-        try:
+
+        def read(path: Path) -> trace_io.PackedTrace:
             packed, header = trace_io.load_trace_packed(path)
             if header.get("cache_digest") != self.digest(key):
                 raise ValueError("cache key mismatch")
             if header.get("payload_digest") != self.payload_digest(packed):
                 raise ValueError("payload digest mismatch")
-        except Exception:
-            self._quarantine(path)
-            self.misses += 1
-            return None
-        self.hits += 1
-        return packed
+            return packed
 
-    def _quarantine(self, path: Path) -> None:
-        """Move a bad entry aside (fall back to deletion if that fails)."""
-        target_dir = self.root / self.QUARANTINE_DIR
-        try:
-            target_dir.mkdir(parents=True, exist_ok=True)
-            os.replace(path, target_dir / path.name)
-        except OSError:
-            try:
-                path.unlink()
-            except OSError:
-                return
-        self.quarantined += 1
+        return self._read(self.path_for(key), read)
 
     def store(self, key: TraceKey, trace) -> Path:
         """Persist ``trace`` under ``key`` (atomic rename, race-safe).
@@ -169,8 +235,6 @@ class TraceStore:
         Accepts the tuple-list form or a packed trace — both serialise
         to the same column format.
         """
-        self.root.mkdir(parents=True, exist_ok=True)
-        final = self.path_for(key)
         workload, transactions, payload, seed = key
         metadata = {
             "workload": workload,
@@ -181,125 +245,59 @@ class TraceStore:
             "cache_digest": self.digest(key),
             "payload_digest": self.payload_digest(trace),
         }
-        fd, tmp_name = tempfile.mkstemp(
-            dir=self.root, prefix=".tmp-", suffix=".npz"
+        return self._write(
+            self.path_for(key),
+            lambda tmp: trace_io.save_trace(
+                tmp, trace, metadata, compress=False
+            ),
         )
-        os.close(fd)
-        try:
-            trace_io.save_trace(tmp_name, trace, metadata, compress=False)
-            os.replace(tmp_name, final)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        return final
 
 
-def default_result_cache_dir() -> Optional[Path]:
-    """Resolve the shared *result*-cache directory from the environment.
+class ResultStore(_EntryStore):
+    """Content-addressed on-disk cache of completed result payloads.
 
-    ``REPRO_RESULT_CACHE`` mirrors ``REPRO_TRACE_CACHE`` (same disable
-    values); unset defaults to a ``results`` sibling of the trace cache.
+    The unit memo keys entries by run-unit content, the
+    :mod:`repro.service` scheduler by job key; both store the
+    :func:`repro.harness.runner.result_payload` dict, stamped with its
+    :func:`~repro.harness.runner.result_digest`, which is re-verified
+    on load — a corrupt, truncated or undecodable entry is quarantined
+    and treated as a miss, never surfaced as a JSON error or, worse, a
+    wrong result.
     """
-    env = os.environ.get("REPRO_RESULT_CACHE")
-    if env is not None:
-        if env.strip().lower() in _DISABLED_VALUES or not env.strip():
-            return None
-        return Path(env).expanduser()
-    traces = default_cache_dir()
-    if traces is None:
-        return None
-    return traces.parent / "results"
-
-
-class ResultStore:
-    """Content-addressed on-disk cache of completed experiment results.
-
-    The :mod:`repro.service` scheduler keys each job by a digest
-    computed exactly the way :meth:`TraceStore.digest` keys traces
-    (canonical JSON of the full identity, SHA-256, truncated) and
-    stores the job's JSON result payload here, so identical jobs
-    resubmitted across server restarts replay from disk instead of
-    re-simulating.  Every entry embeds a digest of its payload bytes
-    that is re-verified on load — a corrupt or truncated entry is
-    quarantined (same policy as :class:`TraceStore`) and treated as a
-    miss, never surfaced as a JSON error or, worse, a wrong result.
-    """
-
-    QUARANTINE_DIR = TraceStore.QUARANTINE_DIR
-
-    def __init__(self, root: Union[str, Path]) -> None:
-        self.root = Path(root)
-        self.hits = 0
-        self.misses = 0
-        self.quarantined = 0
-
-    @staticmethod
-    def payload_digest(payload: dict) -> str:
-        """Digest of the canonical JSON encoding of ``payload``."""
-        material = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(material.encode("utf-8")).hexdigest()[:24]
 
     def path_for(self, key: str) -> Path:
         return self.root / f"{key}.json"
 
-    def load(self, key: str) -> Optional[dict]:
-        """Return the cached payload for ``key``, or ``None`` on a miss."""
-        path = self.path_for(key)
-        if not path.exists():
-            self.misses += 1
-            return None
-        try:
+    def load(self, key: str, decode: Optional[Callable[[dict], _T]] = None):
+        """Return the cached payload for ``key``, or ``None`` on a miss.
+
+        With ``decode``, return ``decode(payload)`` instead; a payload
+        that passes the digest check but that ``decode`` rejects is
+        quarantined like any other corrupt entry.
+        """
+
+        def read(path: Path):
             entry = json.loads(path.read_text())
             payload = entry["payload"]
             if entry.get("key") != key:
                 raise ValueError("result cache key mismatch")
-            if entry.get("payload_digest") != self.payload_digest(payload):
+            if entry.get("payload_digest") != result_digest(payload):
                 raise ValueError("result payload digest mismatch")
-        except Exception:
-            self._quarantine(path)
-            self.misses += 1
-            return None
-        self.hits += 1
-        return payload
+            return payload if decode is None else decode(payload)
+
+        return self._read(self.path_for(key), read)
 
     def store(self, key: str, payload: dict) -> Path:
         """Persist ``payload`` under ``key`` (atomic rename, race-safe)."""
-        self.root.mkdir(parents=True, exist_ok=True)
-        final = self.path_for(key)
         entry = {
             "key": key,
             "payload": payload,
-            "payload_digest": self.payload_digest(payload),
+            "payload_digest": result_digest(payload),
         }
-        fd, tmp_name = tempfile.mkstemp(
-            dir=self.root, prefix=".tmp-", suffix=".json"
+        return self._write(
+            self.path_for(key),
+            lambda tmp: Path(tmp).write_text(json.dumps(entry, sort_keys=True)),
         )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(entry, handle, sort_keys=True)
-            os.replace(tmp_name, final)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        return final
-
-    def _quarantine(self, path: Path) -> None:
-        target_dir = self.root / self.QUARANTINE_DIR
-        try:
-            target_dir.mkdir(parents=True, exist_ok=True)
-            os.replace(path, target_dir / path.name)
-        except OSError:
-            try:
-                path.unlink()
-            except OSError:
-                return
-        self.quarantined += 1
 
 
 class TraceCache:
@@ -317,7 +315,7 @@ class TraceCache:
         self._cache: Dict[TraceKey, List[Tuple]] = {}
         self._packed: Dict[TraceKey, trace_io.PackedTrace] = {}
         if cache_dir is TraceCache.AUTO:
-            cache_dir = default_cache_dir()
+            cache_dir = cache_location("traces")
         self._store = TraceStore(cache_dir) if cache_dir is not None else None
 
     @property

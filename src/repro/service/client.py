@@ -10,7 +10,7 @@ of them — exactly how the smoke and soak tests drive the server.
 garbled connection can at worst hit the dedup path.  ``submit``/
 ``submit_many`` therefore ride the shared
 :class:`~repro.common.retry.RetryPolicy` (bounded attempts, jittered
-exponential backoff, ``REPRO_SERVICE_RETRY_*`` overrides): transport
+exponential backoff, :data:`DEFAULT_RETRY`): transport
 failures reconnect and re-send the outstanding specs, and only after
 exhaustion does the caller see a typed :class:`ServiceUnavailable`
 instead of a raw ``socket.error``.  Typed server replies (``error``
@@ -58,6 +58,9 @@ class ServiceUnavailable(ServiceError):
 #: from a hostile or chaos-proxied wire (``ProtocolError``).
 _RETRYABLE = (ConnectionError, ProtocolError, OSError)
 
+#: The transport retry policy of a client built without one.
+DEFAULT_RETRY = RetryPolicy(attempts=4, base_delay=0.05, max_delay=1.0)
+
 
 class ServiceClient:
     """One (re-dialable) connection to a running experiment server."""
@@ -71,12 +74,7 @@ class ServiceClient:
     ) -> None:
         self.address = address
         self.timeout = timeout
-        self.retry = retry if retry is not None else RetryPolicy.from_env(
-            "REPRO_SERVICE_RETRY",
-            attempts=4,
-            base_delay=0.05,
-            max_delay=1.0,
-        )
+        self.retry = retry if retry is not None else DEFAULT_RETRY
         self._rng = rng if rng is not None else random.Random()
         self._sock: Optional[socket.socket] = None
         self._file = None

@@ -47,7 +47,9 @@ for the same simulation under different labels share one execution.
 :class:`~repro.harness.runner.RunResult` to a plain dict and
 :func:`result_digest` fingerprints its canonical JSON; the digest
 travels with every ``result`` message and is what the golden suite and
-the smoke compare bit-for-bit against direct in-process runs.
+the smoke compare bit-for-bit against direct in-process runs.  Both
+(and :func:`payload_to_result`) are re-exported from
+:mod:`repro.harness.runner`, the codec every result store shares.
 """
 
 from __future__ import annotations
@@ -58,10 +60,14 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional
 
-from repro.config import ADRConfig, ControllerKind, MiSUDesign, SimConfig
+from repro.config import ADRConfig, SimConfig
 from repro.harness.memo import model_fingerprint
 from repro.harness.parallel import RunUnit
-from repro.harness.runner import RunResult
+from repro.harness.runner import (  # noqa: F401 — the wire's result codec
+    payload_to_result,
+    result_digest,
+    result_payload,
+)
 from repro.oracle.check import controller_matrix
 from repro.workloads import ALL_WORKLOADS, GENERATOR_VERSION, ORACLE_SEMANTICS
 
@@ -354,51 +360,6 @@ def spec_to_run_unit(spec: JobSpec) -> RunUnit:
             else ()
         ),
     )
-
-
-# ----------------------------------------------------------------------
-# Result payloads
-# ----------------------------------------------------------------------
-def result_payload(result) -> Dict[str, object]:
-    """Serialise one unit result to a wire/cache-stable dict.
-
-    ``run`` units yield a :class:`RunResult`; ``faults`` and
-    ``scenario`` units already arrive as plain dicts (tagged
-    ``"kind": "faults"`` / ``"kind": "scenario"``), which pass through
-    untouched so their digests are stable end to end.
-    """
-    if isinstance(result, Mapping):
-        return dict(result)
-    return {
-        "workload": result.workload,
-        "controller": result.controller.value,
-        "misu_design": result.misu_design.value,
-        "transactions": result.transactions,
-        "payload_bytes": result.payload_bytes,
-        "cycles": result.cycles,
-        "instructions": result.instructions,
-        "stats": {k: result.stats[k] for k in sorted(result.stats)},
-    }
-
-
-def payload_to_result(payload: Mapping[str, object]) -> RunResult:
-    """Rebuild a :class:`RunResult` from its wire dict."""
-    return RunResult(
-        workload=payload["workload"],
-        controller=ControllerKind(payload["controller"]),
-        misu_design=MiSUDesign(payload["misu_design"]),
-        transactions=payload["transactions"],
-        payload_bytes=payload["payload_bytes"],
-        cycles=payload["cycles"],
-        instructions=payload["instructions"],
-        stats=dict(payload["stats"]),
-    )
-
-
-def result_digest(payload: Mapping[str, object]) -> str:
-    """Fingerprint of a result payload's canonical JSON."""
-    material = json.dumps(dict(payload), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(material.encode("utf-8")).hexdigest()[:24]
 
 
 # ----------------------------------------------------------------------

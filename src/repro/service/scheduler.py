@@ -45,11 +45,7 @@ from repro.harness.parallel import (
     execute_unit,
     unit_pool,
 )
-from repro.harness.trace_store import (
-    ResultStore,
-    TraceCache,
-    default_result_cache_dir,
-)
+from repro.harness.trace_store import ResultStore, TraceCache, cache_location
 from repro.service.protocol import (
     JobSpec,
     job_key,
@@ -104,7 +100,7 @@ class ExperimentScheduler:
     ) -> None:
         self.jobs = max(1, jobs)
         if result_cache_dir is TraceCache.AUTO:
-            result_cache_dir = default_result_cache_dir()
+            result_cache_dir = cache_location("results")
         self.results = (
             ResultStore(result_cache_dir)
             if result_cache_dir is not None

@@ -9,14 +9,9 @@ from hypothesis import strategies as st
 from repro.config import eager_config
 from repro.cpu.trace_io import PackedTrace, trace_to_arrays
 from repro.engine import EventQueue, SimulationError, Simulator
-from repro.harness.memo import (
-    SEGMENT_TRANSACTIONS,
-    UnitMemo,
-    config_fingerprint,
-    default_unit_memo_dir,
-    trace_chain_digests,
-)
+from repro.harness.memo import UnitMemo, config_fingerprint
 from repro.harness.runner import run_trace
+from repro.harness.trace_store import cache_location
 from repro.workloads import generate_trace
 
 # ----------------------------------------------------------------------
@@ -252,22 +247,6 @@ class TestUnitMemo:
 
         assert memo.key_for(lazy_config(), packed) != key
 
-    def test_chain_shares_prefix_until_divergence(self):
-        config = eager_config()
-        short = generate_trace(
-            "hashmap", SEGMENT_TRANSACTIONS, config.transaction_size, 1
-        )
-        long = generate_trace(
-            "hashmap", 3 * SEGMENT_TRANSACTIONS, config.transaction_size, 1
-        )
-        chain_short = trace_chain_digests(short)
-        chain_long = trace_chain_digests(long)
-        # The workload generator is seed-deterministic per transaction,
-        # so the shorter run's first full segment is a strict prefix of
-        # the longer run's — the chains must agree on that link.
-        assert chain_short[0] == chain_long[0]
-        assert chain_short[-1] != chain_long[-1]
-
     def test_corrupt_entry_is_a_miss_not_a_wrong_result(self, tmp_path):
         config, packed = self._unit()
         memo = UnitMemo(tmp_path)
@@ -310,12 +289,12 @@ class TestUnitMemo:
 
     def test_env_off_disables(self, monkeypatch):
         monkeypatch.setenv("REPRO_UNIT_MEMO", "off")
-        assert default_unit_memo_dir() is None
+        assert cache_location("units") is None
         monkeypatch.setenv("REPRO_UNIT_MEMO", "/tmp/somewhere")
-        assert str(default_unit_memo_dir()) == "/tmp/somewhere"
+        assert str(cache_location("units")) == "/tmp/somewhere"
         monkeypatch.delenv("REPRO_UNIT_MEMO")
         monkeypatch.setenv("REPRO_TRACE_CACHE", "off")
-        assert default_unit_memo_dir() is None
+        assert cache_location("units") is None
 
     def test_config_fingerprint_stable(self):
         assert config_fingerprint(eager_config()) == config_fingerprint(

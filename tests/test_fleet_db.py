@@ -17,14 +17,9 @@ import threading
 
 import pytest
 
-from repro.fleet.db import (
-    ENV_DB,
-    FleetDB,
-    FleetDBError,
-    UnitDigestMismatch,
-    default_db_path,
-    payload_digest,
-)
+from repro.fleet.db import FleetDB, FleetDBError, UnitDigestMismatch
+from repro.harness.runner import result_digest
+from repro.harness.trace_store import cache_location
 from repro.workloads import GENERATOR_VERSION
 
 
@@ -74,7 +69,7 @@ class TestSchemaRoundTrip:
         row = db.load_unit("exp", "k1")
         assert row.spec == _spec()
         assert row.payload == _payload()
-        assert row.payload_digest == payload_digest(_payload())
+        assert row.payload_digest == result_digest(_payload())
         assert (row.workload, row.design, row.seed) == (
             "hashmap", "dolos-partial", 1,
         )
@@ -223,8 +218,8 @@ class TestStatusAndEnv:
         assert status["workers"] == ["w0", "w1"]
 
     def test_env_knob_names_the_default_path(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(ENV_DB, str(tmp_path / "custom.sqlite"))
-        assert default_db_path() == tmp_path / "custom.sqlite"
+        monkeypatch.setenv("REPRO_FLEET_DB", str(tmp_path / "custom.sqlite"))
+        assert cache_location("fleet.sqlite") == tmp_path / "custom.sqlite"
         db = FleetDB()
         db.open_experiment("exp", {})
         assert (tmp_path / "custom.sqlite").exists()

@@ -1,4 +1,4 @@
-"""Tier-1 tests for the fleet supervision plane and its env knobs.
+"""Tier-1 tests for the fleet supervision plane.
 
 Fast and subprocess-light: the heartbeat monitor runs against fake
 worker handles and a tiny threaded health responder; the only real
@@ -16,13 +16,7 @@ import time
 import pytest
 
 import repro.fleet.dispatcher as dispatcher_mod
-from repro.fleet.dispatcher import (
-    FleetError,
-    ServiceWorker,
-    idle_poll,
-    worker_start_timeout,
-    worker_stop_timeout,
-)
+from repro.fleet.dispatcher import FleetError, ServiceWorker
 from repro.fleet.supervisor import (
     HeartbeatMonitor,
     SupervisionConfig,
@@ -32,7 +26,7 @@ from repro.service import protocol as proto
 
 
 # ======================================================================
-# Config + env knobs
+# Config + worker lifecycle timeouts
 # ======================================================================
 class TestSupervisionConfig:
     def test_zero_value_is_inert(self):
@@ -46,29 +40,6 @@ class TestSupervisionConfig:
         explicit = SupervisionConfig(heartbeat_interval=0.2, stale_after=1.5)
         assert explicit.effective_stale_after == 1.5
 
-    def test_from_env_reads_repro_fleet_vars(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FLEET_HEARTBEAT", "0.25")
-        monkeypatch.setenv("REPRO_FLEET_STALE_AFTER", "2.0")
-        monkeypatch.setenv("REPRO_FLEET_RESPAWNS", "5")
-        monkeypatch.setenv("REPRO_FLEET_BREAKER_THRESHOLD", "7")
-        config = SupervisionConfig.from_env()
-        assert config.heartbeat_interval == 0.25
-        assert config.stale_after == 2.0
-        assert config.respawn_budget == 5
-        assert config.breaker_threshold == 7
-        assert config.heartbeat_enabled
-
-    def test_from_env_defaults_stay_off(self, monkeypatch):
-        for name in (
-            "REPRO_FLEET_HEARTBEAT",
-            "REPRO_FLEET_STALE_AFTER",
-            "REPRO_FLEET_RESPAWNS",
-        ):
-            monkeypatch.delenv(name, raising=False)
-        config = SupervisionConfig.from_env()
-        assert not config.heartbeat_enabled
-        assert config.respawn_budget == 0
-
     def test_breaker_factory_uses_config_knobs(self):
         config = SupervisionConfig(breaker_threshold=2, breaker_max_trips=1)
         breaker = config.breaker()
@@ -77,33 +48,14 @@ class TestSupervisionConfig:
         assert breaker.quarantined
 
 
-class TestFleetEnvKnobs:
-    def test_timeouts_default_without_env(self, monkeypatch):
-        for name in (
-            "REPRO_FLEET_START_TIMEOUT",
-            "REPRO_FLEET_STOP_TIMEOUT",
-            "REPRO_FLEET_IDLE_POLL",
-        ):
-            monkeypatch.delenv(name, raising=False)
-        assert worker_start_timeout() == dispatcher_mod.WORKER_START_TIMEOUT
-        assert worker_stop_timeout() == dispatcher_mod.WORKER_STOP_TIMEOUT
-        assert idle_poll() > 0
-
-    def test_env_overrides_are_read(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FLEET_START_TIMEOUT", "12.5")
-        monkeypatch.setenv("REPRO_FLEET_STOP_TIMEOUT", "3.5")
-        monkeypatch.setenv("REPRO_FLEET_IDLE_POLL", "0.07")
-        assert worker_start_timeout() == 12.5
-        assert worker_stop_timeout() == 3.5
-        assert idle_poll() == 0.07
-
-    def test_start_timeout_error_names_the_env_var(
+class TestFleetTimeouts:
+    def test_start_timeout_kills_a_worker_that_never_becomes_ready(
         self, tmp_path, monkeypatch
     ):
         # Pin the worker command to something that never touches its
-        # ready file, so the configured timeout must fire — and the
-        # error must tell the operator which knob to turn.
-        monkeypatch.setenv("REPRO_FLEET_START_TIMEOUT", "0.3")
+        # ready file, so the start timeout must fire — and the error
+        # must say how long the dispatcher waited.
+        monkeypatch.setattr(dispatcher_mod, "WORKER_START_TIMEOUT", 0.3)
         real_popen = dispatcher_mod.subprocess.Popen
         monkeypatch.setattr(
             dispatcher_mod.subprocess,
@@ -114,8 +66,7 @@ class TestFleetEnvKnobs:
         with pytest.raises(FleetError) as excinfo:
             worker.start()
         worker.kill()
-        assert "REPRO_FLEET_START_TIMEOUT" in str(excinfo.value)
-        assert "0.3" in str(excinfo.value)
+        assert "did not become ready within 0.3s" in str(excinfo.value)
 
 
 class TestWorkerIncarnations:

@@ -23,11 +23,7 @@ from repro.config import ControllerKind, MiSUDesign
 from repro.harness import parallel
 from repro.harness.parallel import RunUnit, execute_unit
 from repro.harness.runner import RunResult
-from repro.harness.trace_store import (
-    ResultStore,
-    TraceCache,
-    default_result_cache_dir,
-)
+from repro.harness.trace_store import ResultStore, TraceCache, cache_location
 from repro.oracle.check import controller_matrix
 from repro.service import protocol as proto
 from repro.service.client import ServiceClient
@@ -285,11 +281,11 @@ class TestResultStore:
 
     def test_default_dir_env_handling(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_RESULT_CACHE", str(tmp_path / "r"))
-        assert default_result_cache_dir() == tmp_path / "r"
+        assert cache_location("results") == tmp_path / "r"
         monkeypatch.setenv("REPRO_RESULT_CACHE", "0")
-        assert default_result_cache_dir() is None
+        assert cache_location("results") is None
         monkeypatch.setenv("REPRO_RESULT_CACHE", "")
-        assert default_result_cache_dir() is None
+        assert cache_location("results") is None
 
 
 # ======================================================================
